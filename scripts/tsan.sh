@@ -16,7 +16,7 @@ cmake --build "$BUILD" -j"$(nproc)" --target sfq_tests sfq_serve
 export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
 
 ctest --test-dir "$BUILD" -j"$(nproc)" --output-on-failure \
-  -R 'SpscRing|RtEngine|ShardedEngine|ShardRouter|ShardFailover|Telemetry|CalendarQueue|FlowTable|SfqWheel'
+  -R 'SpscRing|Ingress|RtEngine|ShardedEngine|ShardRouter|ShardFailover|Telemetry|CalendarQueue|FlowTable|SfqWheel'
 
 # Smoke: 4 producers paced at moderate overload, traced (SyncSink path), then
 # a second unpaced blast run (offer_wait/backpressure path), then a stats run

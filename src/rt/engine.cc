@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -47,6 +48,14 @@ constexpr double kShedDefaultPacketBits = 12000.0;
 // recovers routine scheduling jitter, while anything longer (a fault pause,
 // a stall, a descheduled core) stays genuinely lost link time.
 constexpr Time kPacingCatchup = 1e-3;
+
+// Single-writer counter update: only the dispatcher writes, so a load+store
+// pair (not a locked fetch_add) is race-free and keeps doubles exact.
+template <typename T>
+void add_single_writer(std::atomic<T>& a, T by,
+                       std::memory_order order = std::memory_order_relaxed) {
+  a.store(a.load(std::memory_order_relaxed) + by, order);
+}
 
 }  // namespace
 
@@ -196,9 +205,7 @@ void RtEngine::start() {
   if (started_) throw std::logic_error("RtEngine: start() called twice");
   started_ = true;
   const std::size_t n = sched_.flows().size();
-  flow_bits_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    flow_bits_.push_back(std::make_unique<std::atomic<double>>(0.0));
+  flow_bits_ = std::vector<std::atomic<double>>(n);
   if (tele_on_) {
     // The flow table is immutable while the engine runs, so the stats thread
     // works off a private copy of the fairness parameters.
@@ -273,10 +280,11 @@ void RtEngine::stop(StopMode mode) {
 }
 
 void RtEngine::run() {
-  // The in-flight transmission lives in timers_ as a typed kServiceComplete
-  // event keyed by its pacing deadline: busy == !timers_.empty(), and the
-  // deadline is timers_.next_time().
+  // Clock reads are per batch, not per packet: the drain batch and the serve
+  // batch each read once and renew the reading only where a stale one would
+  // bend the semantics (see the comments at each read).
   int idle_streak = 0;
+  const bool watchdog = opts_.stall_timeout > 0.0;
   // Watchdog bookkeeping: the last instant a transmission started or
   // completed, on the RAW clock axis — fault-injected jumps and skews must
   // not be able to blind the watchdog. Draining rings is deliberately not
@@ -330,9 +338,9 @@ void RtEngine::run() {
     //     progress. On detection the dispatcher diagnoses the stage and
     //     restarts itself within the budget (docs/ROBUSTNESS.md); only an
     //     exhausted budget exits permanently.
-    if (opts_.stall_timeout > 0.0) {
+    if (watchdog) {
       const Time raw = clock_.raw_now();
-      if (timers_.empty() && sched_.empty()) {
+      if (!link_.busy && sched_.empty()) {
         last_progress_raw_ = raw;  // idle: no obligations, nothing to watch
       } else if (raw - last_progress_raw_ > opts_.stall_timeout) {
         if (!watchdog_stall(clock_.now(), raw)) return;
@@ -348,16 +356,23 @@ void RtEngine::run() {
     //     scheduler. One relaxed-ish load on the common path.
     if (ctrl_pending_.load(std::memory_order_acquire)) serve_control_ops();
 
-    // 1. Drain a bounded batch of arrivals, earliest ingress stamp first.
-    //    An abandoning engine leaves ring items where they are (step 3
-    //    counts them) instead of feeding a backlog nobody will serve.
+    // 1. Drain a bounded batch of arrivals, earliest ingress stamp first,
+    //    each read in place in its ring slot. An abandoning engine leaves
+    //    ring items where they are (step 4 counts them) instead of feeding a
+    //    backlog nobody will serve. The batch shares one clock reading,
+    //    renewed only when a head was stamped after it, so enqueue times stay
+    //    monotone and never fall below the packet's arrival.
     int drained = 0;
     if (!abandon) {
       SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageDrain);
+      Time now = -std::numeric_limits<double>::infinity();  // not read yet
+      std::size_t ring = 0;
       while (drained < kDrainBatch) {
-        std::optional<IngressItem> item = ingress_.pop_earliest();
-        if (!item) break;
-        inject(std::move(*item));
+        const Packet* p = ingress_.peek_earliest(ring);
+        if (p == nullptr) break;
+        if (p->arrival > now) now = clock_.now();
+        inject(*p, now);
+        ingress_.pop(ring);
         ++drained;
       }
     }
@@ -365,37 +380,44 @@ void RtEngine::run() {
     // 2. Serve: complete due transmissions and start the next one, up to a
     //    batch — a fast link turns over many packets per loop iteration.
     //    Work-conserving on the wall clock: the link is busy from dequeue
-    //    until the profile's finish time.
+    //    until the profile's finish time. The batch shares one clock
+    //    reading. While the pacing chain trails it, deadlines fall due
+    //    without another read; a deadline still ahead earns one re-read, so
+    //    a chain that just restarted from `now` is not left waiting a whole
+    //    loop (which would let it drift kPacingCatchup behind the clock).
     int served = 0;
     uint64_t served_bits = 0;
     bool progressed = false;
+    Time now = clock_.now();
+    bool reread = false;
     while (served < kServiceBatch) {
-      if (!timers_.empty()) {
-        const Time now = clock_.now();
-        if (now < timers_.next_time()) break;  // deadline in the future
-        sim::EventQueue::Popped done;
-        timers_.pop(done);
+      if (link_.busy) {
+        if (now < link_.deadline) {
+          if (reread) break;
+          reread = true;
+          now = clock_.now();
+          if (now < link_.deadline) break;  // deadline in the future
+        }
+        link_.busy = false;
         {
           SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageTransmit);
-          complete(done.event.packet, now, /*deadline=*/done.when);
+          complete(link_.packet, now, link_.deadline);
         }
-        served_bits += static_cast<uint64_t>(done.event.packet.length_bits);
+        served_bits += static_cast<uint64_t>(link_.packet.length_bits);
         progressed = true;
         ++served;
       }
       if (abandon) break;
-      const Time now = clock_.now();
       std::optional<Packet> next;
       {
         SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageSchedule);
         next = sched_.dequeue(now);
       }
       if (!next) {
-        // Nothing queued and (after the pop above) nothing in flight: the
-        // link is genuinely idle, so the pacing chain's continuity ends
-        // here — the next packet paces from its own `now`.
-        if (timers_.empty())
-          link_free_ = std::numeric_limits<double>::infinity();
+        // Nothing queued and nothing in flight: the link is genuinely idle,
+        // so the pacing chain's continuity ends here — the next packet
+        // paces from its own `now`.
+        link_free_ = std::numeric_limits<double>::infinity();
         break;
       }
       if (capture_ != nullptr)
@@ -409,10 +431,10 @@ void RtEngine::run() {
       // idle/+inf sentinel to `now`), so per-wakeup latency does not
       // compound into a rate deficit.
       const Time start = std::clamp(link_free_, now - kPacingCatchup, now);
-      const Time deadline = profile_->finish_time(start, next->length_bits);
-      link_free_ = deadline;
-      timers_.schedule_packet(deadline, sim::EventOp::kServiceComplete,
-                              /*target=*/nullptr, *next);
+      link_free_ = profile_->finish_time(start, next->length_bits);
+      link_.packet = *next;
+      link_.deadline = link_free_;
+      link_.busy = true;
       progressed = true;
     }
     // Flush transmit counters once per serve batch rather than per packet:
@@ -423,7 +445,7 @@ void RtEngine::run() {
       disp_writer_.inc(tel::CounterId::kTxBits, served_bits);
     }
     if (progressed) {
-      last_progress_raw_ = clock_.raw_now();
+      if (watchdog) last_progress_raw_ = clock_.raw_now();
       consecutive_stalls_ = 0;
       if (recovery_pending_) {
         // A stall episode healed: the restart actually restored service.
@@ -436,7 +458,6 @@ void RtEngine::run() {
     // window of served bits into the estimate.
     if (ov_on_ && served_bits > 0) {
       ov_window_bits_ += static_cast<double>(served_bits);
-      const Time now = clock_.now();
       const Time dt = now - ov_window_start_;
       if (dt >= 0.01) {
         const double sample = ov_window_bits_ / dt;
@@ -449,10 +470,9 @@ void RtEngine::run() {
     }
 
     // 4. Exit checks.
-    if (stopping && timers_.empty()) {
+    if (stopping && !link_.busy) {
       if (abandon) {
-        uint64_t left = 0;
-        while (ingress_.pop_earliest()) ++left;
+        const uint64_t left = ingress_.discard_all();
         abandoned_.fetch_add(left, std::memory_order_relaxed);
         if (tele_on_) disp_writer_.inc(tel::CounterId::kAbandoned, left);
         return;
@@ -461,12 +481,12 @@ void RtEngine::run() {
     }
 
     // 5. Wait strategy.
-    if (!timers_.empty()) {
+    if (link_.busy) {
       if (drained > 0) {
         idle_streak = 0;
         continue;  // more arrivals may already be waiting
       }
-      const Time wait = timers_.next_time() - clock_.now();
+      const Time wait = link_.deadline - clock_.now();
       if (wait <= 0.0) continue;
       if (wait > opts_.spin_threshold) {
         // Sleep most of the wait, capped so rings are still drained at a
@@ -497,7 +517,7 @@ bool RtEngine::watchdog_stall(Time now, Time raw_now) {
   // SFQ_TELEMETRY_PROFILING builds give the fine-grained view; this
   // structural diagnosis is always available.)
   StallStage stage = StallStage::kDrain;
-  if (!timers_.empty())
+  if (link_.busy)
     stage = StallStage::kTransmit;
   else if (!sched_.empty())
     stage = StallStage::kSchedule;
@@ -515,12 +535,8 @@ bool RtEngine::watchdog_stall(Time now, Time raw_now) {
     // still transmitted and counted — nothing leaves the ledger during a
     // restart. A deadline already due needs no help; the serve pass below
     // completes it.
-    if (stage == StallStage::kTransmit && timers_.next_time() > now) {
-      sim::EventQueue::Popped done;
-      timers_.pop(done);
-      timers_.schedule_packet(now, sim::EventOp::kServiceComplete,
-                              /*target=*/nullptr, done.event.packet);
-    }
+    if (stage == StallStage::kTransmit && link_.deadline > now)
+      link_.deadline = now;
     // A stall window is not scheduling jitter: break the pacing chain so
     // the restart paces from its own `now` instead of back-dating into the
     // wedge it just recovered from.
@@ -540,8 +556,7 @@ void RtEngine::permanent_stop(StallStage stage) {
   last_stall_stage_.store(static_cast<int8_t>(stage),
                           std::memory_order_relaxed);
   accepting_.store(false, std::memory_order_release);
-  uint64_t left = 0;
-  while (ingress_.pop_earliest()) ++left;
+  const uint64_t left = ingress_.discard_all();
   abandoned_.fetch_add(left, std::memory_order_relaxed);
   if (tele_on_) disp_writer_.inc(tel::CounterId::kAbandoned, left);
   stalled_.store(true, std::memory_order_release);
@@ -606,16 +621,14 @@ bool RtEngine::shed_admits(const Packet& p, Time now) {
   return true;
 }
 
-void RtEngine::inject(IngressItem item) {
-  Packet& p = item.packet;
-  const Time now = clock_.now();
+void RtEngine::inject(const Packet& p, Time now) {
   if (tele_on_ && (++dwell_tick_ & ((1u << kTeleSampleShift) - 1)) == 0)
-    h_dwell_->record_seconds_single_writer(now - item.t_ingress);
+    h_dwell_->record_seconds_single_writer(now - p.arrival);
   const FlowTable& table = sched_.flows();
   const bool registered = p.flow < table.size();
   if (registered ? !table.active(p.flow)
                  : sched_.requires_registered_flows()) {
-    drop(std::move(p), now, obs::DropCause::kUnknownFlow);
+    drop(p, now, obs::DropCause::kUnknownFlow);
     return;
   }
   // Overload admission gate (docs/ROBUSTNESS.md): while shedding, arrivals
@@ -624,7 +637,7 @@ void RtEngine::inject(IngressItem item) {
   // discipline and chaos replay stays bit-exact.
   if (ov_on_ && ov_state_.load(std::memory_order_relaxed) != 0 &&
       !shed_admits(p, now)) {
-    drop(std::move(p), now, obs::DropCause::kShed);
+    drop(p, now, obs::DropCause::kShed);
     return;
   }
   if (opts_.buffer_limit != 0 &&
@@ -637,27 +650,21 @@ void RtEngine::inject(IngressItem item) {
           post_enqueue_drops_.fetch_add(1, std::memory_order_relaxed);
           if (capture_ != nullptr)
             capture_->push_back({CaptureOp::Kind::kPushout, *evicted, now});
-          drop(std::move(*evicted), now, obs::DropCause::kPushout);
+          drop(*evicted, now, obs::DropCause::kPushout);
           made_room = true;
         }
       }
     }
     if (!made_room) {
-      drop(std::move(p), now, obs::DropCause::kBufferLimit);
+      drop(p, now, obs::DropCause::kBufferLimit);
       return;
     }
   }
   // p.arrival was stamped on the producer thread: time spent in the ingress
   // ring counts as queueing, which keeps delay metrics honest.
-  const FlowId flow = p.flow;
-  const uint64_t seq = p.seq;
-  const double bits = p.length_bits;
-  const Time arrival = p.arrival;
-  const std::size_t before = sched_.backlog_packets();
   if (capture_ != nullptr)
     capture_->push_back({CaptureOp::Kind::kEnqueue, p, now});
-  sched_.enqueue(std::move(p), now);
-  if (sched_.backlog_packets() == before) {
+  if (!sched_.enqueue(p, now)) {
     // The discipline's own admit gate refused the packet (counted and traced
     // there); mirror it in the engine ledger like ScheduledServer does.
     cause_drops_[static_cast<std::size_t>(obs::DropCause::kUnknownFlow)]
@@ -665,22 +672,22 @@ void RtEngine::inject(IngressItem item) {
     if (tele_on_) disp_writer_.drop(obs::DropCause::kUnknownFlow);
     return;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
+  add_single_writer(accepted_, uint64_t{1});
   if (tele_on_) disp_writer_.inc(tel::CounterId::kAccepted);
   if (trace_on_) [[unlikely]] {
     obs::TraceEvent e;
     e.type = obs::TraceEventType::kEnqueue;
-    e.flow = flow;
-    e.seq = seq;
-    e.length_bits = bits;
+    e.flow = p.flow;
+    e.seq = p.seq;
+    e.length_bits = p.length_bits;
     e.t = now;
-    e.arrival = arrival;
+    e.arrival = p.arrival;
     e.backlog = sched_.backlog_packets();
     tracer_->emit(e);
   }
 }
 
-void RtEngine::drop(Packet&& p, Time now, obs::DropCause cause) {
+void RtEngine::drop(const Packet& p, Time now, obs::DropCause cause) {
   cause_drops_[static_cast<std::size_t>(cause)].fetch_add(
       1, std::memory_order_relaxed);
   if (tele_on_) disp_writer_.drop(cause);
@@ -694,16 +701,11 @@ void RtEngine::complete(const Packet& p, Time now, Time deadline) {
   if (capture_ != nullptr)
     capture_->push_back({CaptureOp::Kind::kComplete, p, now});
   sched_.on_transmit_complete(p, now);
-  transmitted_.fetch_add(1, std::memory_order_relaxed);
-  // Single-writer counters: only the dispatcher writes, so a load+store pair
-  // (not fetch_add) is race-free and keeps doubles exact.
-  tx_bits_.store(tx_bits_.load(std::memory_order_relaxed) + p.length_bits,
-                 std::memory_order_relaxed);
-  if (p.flow < flow_bits_.size()) {
-    std::atomic<double>& b = *flow_bits_[p.flow];
-    b.store(b.load(std::memory_order_relaxed) + p.length_bits,
-            std::memory_order_release);
-  }
+  add_single_writer(transmitted_, uint64_t{1});
+  add_single_writer(tx_bits_, p.length_bits);
+  if (p.flow < flow_bits_.size())
+    add_single_writer(flow_bits_[p.flow], p.length_bits,
+                      std::memory_order_release);
   const double lag = now - deadline;
   if (lag > max_service_lag_.load(std::memory_order_relaxed))
     max_service_lag_.store(lag, std::memory_order_relaxed);
@@ -876,27 +878,25 @@ void RtEngine::exec_adopt(std::vector<Migration>& flows) {
               if (capture_ != nullptr)
                 capture_->push_back(
                     {CaptureOp::Kind::kPushout, *evicted, now});
-              drop(std::move(*evicted), now, obs::DropCause::kPushout);
+              drop(*evicted, now, obs::DropCause::kPushout);
               made_room = true;
             }
           }
         }
         if (!made_room) {
-          drop(std::move(p), now, obs::DropCause::kBufferLimit);
+          drop(p, now, obs::DropCause::kBufferLimit);
           continue;
         }
       }
-      const std::size_t before = sched_.backlog_packets();
       if (capture_ != nullptr)
         capture_->push_back({CaptureOp::Kind::kEnqueue, p, now});
-      sched_.enqueue(std::move(p), now);
-      if (sched_.backlog_packets() == before) {
+      if (!sched_.enqueue(std::move(p), now)) {
         cause_drops_[static_cast<std::size_t>(obs::DropCause::kUnknownFlow)]
             .fetch_add(1, std::memory_order_relaxed);
         if (tele_on_) disp_writer_.drop(obs::DropCause::kUnknownFlow);
         continue;
       }
-      accepted_.fetch_add(1, std::memory_order_relaxed);
+      add_single_writer(accepted_, uint64_t{1});
       if (tele_on_) disp_writer_.inc(tel::CounterId::kAccepted);
     }
     m.backlog.clear();
@@ -936,15 +936,14 @@ void RtEngine::recompute_shed_shares() {
 }
 
 double RtEngine::flow_tx_bits(FlowId f) const {
-  return f < flow_bits_.size()
-             ? flow_bits_[f]->load(std::memory_order_acquire)
-             : 0.0;
+  return f < flow_bits_.size() ? flow_bits_[f].load(std::memory_order_acquire)
+                               : 0.0;
 }
 
 std::vector<double> RtEngine::service_snapshot() const {
   std::vector<double> out(flow_bits_.size());
   for (std::size_t f = 0; f < flow_bits_.size(); ++f)
-    out[f] = flow_bits_[f]->load(std::memory_order_acquire);
+    out[f] = flow_bits_[f].load(std::memory_order_acquire);
   return out;
 }
 

@@ -21,7 +21,6 @@
 #include "rt/fault_clock.h"
 #include "rt/ingress.h"
 #include "rt/ingress_target.h"
-#include "sim/event_queue.h"
 
 namespace sfq::rt {
 
@@ -337,8 +336,10 @@ class RtEngine : public IngressTarget {
 
  private:
   void run();
-  void inject(IngressItem item);
-  void drop(Packet&& p, Time now, obs::DropCause cause);
+  // Admits one arrival at `now` (>= p.arrival), reading it where it lies in
+  // its ingress ring; the caller pops the slot afterwards.
+  void inject(const Packet& p, Time now);
+  void drop(const Packet& p, Time now, obs::DropCause cause);
   void complete(const Packet& p, Time now, Time deadline);
   FlowId longest_queue() const;
   void stats_loop();
@@ -413,11 +414,15 @@ class RtEngine : public IngressTarget {
   std::vector<double> fair_weights_;    // copied at start(); immutable after
   std::vector<double> fair_max_bits_;
 
-  // Paced-service timer store: the in-flight transmission rides in a typed
-  // kServiceComplete event keyed by its wall-clock deadline. Dispatcher
-  // thread only. Same slab-backed queue as the simulator, so the packet in
-  // flight reuses one slot forever (no per-transmission allocation).
-  sim::EventQueue timers_;
+  // The link: at most one transmission is ever in flight, so one slot holds
+  // it — the packet and the wall-clock deadline at which it frees the link.
+  // Dispatcher thread only.
+  struct InFlight {
+    bool busy = false;
+    Time deadline = 0.0;
+    Packet packet;
+  };
+  InFlight link_;
 
   bool started_ = false;
   std::mutex stop_mu_;
@@ -426,6 +431,8 @@ class RtEngine : public IngressTarget {
   std::atomic<bool> stop_requested_{false};
   std::atomic<StopMode> stop_mode_{StopMode::kDrain};
 
+  // accepted_, transmitted_ and tx_bits_ have one writer (the dispatcher),
+  // which updates them with relaxed load+store rather than a locked RMW.
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> transmitted_{0};
   std::atomic<double> tx_bits_{0.0};
@@ -437,8 +444,9 @@ class RtEngine : public IngressTarget {
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> migrated_in_{0};
   std::atomic<uint64_t> migrated_out_{0};
-  // Single-writer (dispatcher) per-flow service totals; sized at start().
-  std::vector<std::unique_ptr<std::atomic<double>>> flow_bits_;
+  // Single-writer (dispatcher) per-flow service totals, one flat array sized
+  // at start() (a vector of atomics is never resized, only replaced whole).
+  std::vector<std::atomic<double>> flow_bits_;
 
   // Watchdog escalation state (dispatcher thread; atomics are for stats()).
   std::atomic<uint64_t> recoveries_{0};

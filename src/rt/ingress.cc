@@ -16,11 +16,8 @@ Ingress::Ingress(std::size_t producers, std::size_t ring_capacity) {
 
 bool Ingress::push(std::size_t i, Packet p, Time now, bool count_full) {
   Shard& s = *shards_[i];
-  IngressItem item;
-  item.packet = std::move(p);
-  item.packet.arrival = now;
-  item.t_ingress = now;
-  if (!s.ring.try_push(std::move(item))) {
+  p.arrival = now;
+  if (!s.ring.try_push(std::move(p))) {
     if (count_full) s.drops.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -32,21 +29,27 @@ void Ingress::count_drop(std::size_t i) {
   shards_[i]->drops.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::optional<IngressItem> Ingress::pop_earliest() {
-  SpscRing<IngressItem>* best = nullptr;
-  Time best_t = 0.0;
-  for (auto& shard : shards_) {
-    if (IngressItem* head = shard->ring.front()) {
-      if (!best || head->t_ingress < best_t) {
-        best = &shard->ring;
-        best_t = head->t_ingress;
-      }
+const Packet* Ingress::peek_earliest(std::size_t& ring) {
+  const Packet* best = nullptr;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const Packet* head = shards_[i]->ring.front();
+    // Strict: an equal stamp on a later ring never displaces an earlier one.
+    if (head && (!best || head->arrival < best->arrival)) {
+      best = head;
+      ring = i;
     }
   }
-  if (!best) return std::nullopt;
-  IngressItem out = std::move(*best->front());
-  best->pop();
-  return out;
+  return best;
+}
+
+uint64_t Ingress::discard_all() {
+  uint64_t n = 0;
+  for (auto& shard : shards_)
+    while (shard->ring.front()) {
+      shard->ring.pop();
+      ++n;
+    }
+  return n;
 }
 
 bool Ingress::empty() const {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/sfq_scheduler.h"
@@ -250,16 +251,24 @@ std::unique_ptr<net::RateProfile> step_profile() {
           {0.0, 1000.0}, {2.0, 200.0}, {5.0, 1500.0}});
 }
 
-class SfqFairnessOverServers
-    : public ::testing::TestWithParam<
-          std::unique_ptr<net::RateProfile> (*)()> {};
+// A named server profile. PrintTo gives the case a stable name: printing the
+// bare factory pointer would name it by its load address, which changes from
+// run to run.
+struct ServerProfile {
+  const char* name;
+  std::unique_ptr<net::RateProfile> (*make)();
+};
+void PrintTo(const ServerProfile& p, std::ostream* os) { *os << p.name; }
+
+class SfqFairnessOverServers : public ::testing::TestWithParam<ServerProfile> {
+};
 
 TEST_P(SfqFairnessOverServers, TheoremOneHoldsOnAnyServer) {
   SfqScheduler s;
   const double w0 = 100.0, w1 = 300.0;
   const double l0 = 40.0, l1 = 64.0;
   auto r = test::run_workload(
-      s, GetParam()(),
+      s, GetParam().make(),
       {{w0, l0, test::Kind::kGreedy}, {w1, l1, test::Kind::kGreedy}}, 8.0);
 
   const double h = stats::empirical_fairness(r->recorder, r->ids[0], w0,
@@ -272,8 +281,11 @@ TEST_P(SfqFairnessOverServers, TheoremOneHoldsOnAnyServer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, SfqFairnessOverServers,
-                         ::testing::Values(&constant_profile, &fc_profile,
-                                           &ebf_profile, &step_profile));
+                         ::testing::Values(
+                             ServerProfile{"constant", &constant_profile},
+                             ServerProfile{"fc", &fc_profile},
+                             ServerProfile{"ebf", &ebf_profile},
+                             ServerProfile{"step", &step_profile}));
 
 // Randomized many-flow fairness sweep.
 class SfqFairnessRandom : public ::testing::TestWithParam<uint64_t> {};
