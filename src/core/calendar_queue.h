@@ -279,8 +279,11 @@ class CalendarQueue {
     bitmap_[level][slot >> 6] &= ~(uint64_t{1} << (slot & 63));
   }
 
-  // First occupied slot >= `from` at `level`, or kSlots when none.
+  // First occupied slot >= `from` at `level`, or kSlots when none (also for
+  // from == kSlots: settle_min asks for the slots above a cursor digit of
+  // kSlots - 1).
   std::size_t scan(std::size_t level, std::size_t from) const {
+    if (from >= kSlots) return kSlots;
     std::size_t word = from >> 6;
     uint64_t bits = bitmap_[level][word] & (~uint64_t{0} << (from & 63));
     for (;;) {

@@ -111,9 +111,11 @@ void StatsServer::serve() {
           "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\nConnection: "
           "close\r\n\r\n";
     }
+    // Counted before the write: a client that has read its response must
+    // already see it in requests_served().
+    served_.fetch_add(1, std::memory_order_relaxed);
     write_all(fd, resp);
     ::close(fd);
-    served_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -154,7 +154,7 @@ bool RtEngine::offer(std::size_t i, Packet p) {
     if (tele_on_) prod_writers_[i].inc(tel::CounterId::kIngressDrops);
     return false;
   }
-  const bool pushed = ingress_.push(i, std::move(p), clock_.now());
+  const bool pushed = ingress_.push(i, p, clock_.now());
   if (tele_on_)
     prod_writers_[i].inc(pushed ? tel::CounterId::kIngressPushed
                                 : tel::CounterId::kIngressDrops);
@@ -361,20 +361,22 @@ void RtEngine::run() {
     //    ring items where they are (step 4 counts them) instead of feeding a
     //    backlog nobody will serve. The batch shares one clock reading,
     //    renewed only when a head was stamped after it, so enqueue times stay
-    //    monotone and never fall below the packet's arrival.
+    //    monotone and never fall below the packet's arrival. Consumed slots
+    //    go back to the producers once, at the end of the batch.
     int drained = 0;
     if (!abandon) {
       SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageDrain);
       Time now = -std::numeric_limits<double>::infinity();  // not read yet
       std::size_t ring = 0;
       while (drained < kDrainBatch) {
-        const Packet* p = ingress_.peek_earliest(ring);
-        if (p == nullptr) break;
-        if (p->arrival > now) now = clock_.now();
-        inject(*p, now);
+        const IngressSlot* slot = ingress_.peek_earliest(ring);
+        if (slot == nullptr) break;
+        if (slot->arrival > now) now = clock_.now();
+        inject(*slot, now);
         ingress_.pop(ring);
         ++drained;
       }
+      ingress_.release();
     }
 
     // 2. Serve: complete due transmissions and start the next one, up to a
@@ -621,7 +623,8 @@ bool RtEngine::shed_admits(const Packet& p, Time now) {
   return true;
 }
 
-void RtEngine::inject(const Packet& p, Time now) {
+void RtEngine::inject(const IngressSlot& slot, Time now) {
+  const Packet p = slot.to_packet();
   if (tele_on_ && (++dwell_tick_ & ((1u << kTeleSampleShift) - 1)) == 0)
     h_dwell_->record_seconds_single_writer(now - p.arrival);
   const FlowTable& table = sched_.flows();

@@ -336,9 +336,9 @@ class RtEngine : public IngressTarget {
 
  private:
   void run();
-  // Admits one arrival at `now` (>= p.arrival), reading it where it lies in
-  // its ingress ring; the caller pops the slot afterwards.
-  void inject(const Packet& p, Time now);
+  // Admits one arrival at `now` (>= slot.arrival), reading it where it lies
+  // in its ingress ring; the caller pops the slot afterwards.
+  void inject(const IngressSlot& slot, Time now);
   void drop(const Packet& p, Time now, obs::DropCause cause);
   void complete(const Packet& p, Time now, Time deadline);
   FlowId longest_queue() const;
@@ -399,7 +399,10 @@ class RtEngine : public IngressTarget {
   obs::telemetry::LockFreeHistogram* h_dwell_ = nullptr;
   obs::telemetry::LockFreeHistogram* h_qdelay_ = nullptr;
   obs::telemetry::LockFreeHistogram* h_lag_ = nullptr;
-  uint32_t dwell_tick_ = 0;  // dispatcher-only sampling counters
+  // Dispatcher-only sampling counters, written per packet: they start a
+  // cache line so they never share one with the fields above, which
+  // producers read on every offer (tele_on_, prod_writers_).
+  alignas(kCacheLineBytes) uint32_t dwell_tick_ = 0;
   uint32_t lag_tick_ = 0;
 
   // Stats publication (EngineOptions::stats_interval / stats_port): a
@@ -427,13 +430,16 @@ class RtEngine : public IngressTarget {
   bool started_ = false;
   std::mutex stop_mu_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> accepting_{false};
+  // Producers read accepting_ on every offer: it sits on its own cache
+  // line, away from link_ above and the per-packet counters below, which
+  // the dispatcher writes per packet.
+  alignas(kCacheLineBytes) std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<StopMode> stop_mode_{StopMode::kDrain};
 
   // accepted_, transmitted_ and tx_bits_ have one writer (the dispatcher),
   // which updates them with relaxed load+store rather than a locked RMW.
-  std::atomic<uint64_t> accepted_{0};
+  alignas(kCacheLineBytes) std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> transmitted_{0};
   std::atomic<double> tx_bits_{0.0};
   std::atomic<uint64_t> abandoned_{0};

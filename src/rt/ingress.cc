@@ -1,7 +1,6 @@
 #include "rt/ingress.h"
 
 #include <stdexcept>
-#include <utility>
 
 namespace sfq::rt {
 
@@ -14,10 +13,10 @@ Ingress::Ingress(std::size_t producers, std::size_t ring_capacity) {
     shards_.push_back(std::make_unique<Shard>(ring_capacity));
 }
 
-bool Ingress::push(std::size_t i, Packet p, Time now, bool count_full) {
+bool Ingress::push(std::size_t i, const Packet& p, Time now,
+                   bool count_full) {
   Shard& s = *shards_[i];
-  p.arrival = now;
-  if (!s.ring.try_push(std::move(p))) {
+  if (!s.ring.try_push(IngressSlot::of(p, now))) {
     if (count_full) s.drops.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -29,10 +28,10 @@ void Ingress::count_drop(std::size_t i) {
   shards_[i]->drops.fetch_add(1, std::memory_order_relaxed);
 }
 
-const Packet* Ingress::peek_earliest(std::size_t& ring) {
-  const Packet* best = nullptr;
+const IngressSlot* Ingress::peek_earliest(std::size_t& ring) {
+  const IngressSlot* best = nullptr;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Packet* head = shards_[i]->ring.front();
+    const IngressSlot* head = shards_[i]->ring.front();
     // Strict: an equal stamp on a later ring never displaces an earlier one.
     if (head && (!best || head->arrival < best->arrival)) {
       best = head;
@@ -42,10 +41,14 @@ const Packet* Ingress::peek_earliest(std::size_t& ring) {
   return best;
 }
 
+void Ingress::release() {
+  for (auto& shard : shards_) shard->ring.release();
+}
+
 uint64_t Ingress::discard_all() {
   uint64_t n = 0;
   for (auto& shard : shards_)
-    while (shard->ring.front()) {
+    while (shard->ring.front()) {  // a null front() has released the ring
       shard->ring.pop();
       ++n;
     }

@@ -17,8 +17,7 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 
 // Bounded lock-free single-producer/single-consumer ring (a Lamport queue
 // with cached indices). One thread may call the producer API (try_push), one
-// thread the consumer API (front/pop/try_pop); size() is safe from any
-// thread but only approximate while both sides are running.
+// thread the consumer API (front/pop/release/empty).
 //
 // Indices are free-running 64-bit counters; the slot is index & mask, so
 // wraparound needs no modular case analysis and full/empty are simply
@@ -26,6 +25,14 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 // index and re-reads it only on apparent full/empty, so the steady-state
 // hot path costs one relaxed load + one release store per operation and no
 // shared-line ping-pong.
+//
+// Batched release: the consumer keeps its own head and publishes it to the
+// producer (head_) only on release(), so a consumer taking a run of slots
+// hands them back with one store instead of moving head_'s cache line to
+// the producer and back once per slot. Until then the popped slots still
+// count as occupied: the producer may see the ring full. front() releases
+// by itself whenever it catches up with the tail it last saw, so a consumer
+// that has drained the ring never holds slots back.
 template <typename T>
 class SpscRing {
  public:
@@ -54,42 +61,37 @@ class SpscRing {
     return true;
   }
 
-  // Consumer thread only: the oldest element, or nullptr when empty. The
-  // pointer stays valid until pop(); the producer cannot overwrite the slot
-  // because head_ has not advanced.
+  // Consumer thread only: the oldest element not yet popped, or nullptr
+  // when empty. The pointer stays valid until pop(); the producer cannot
+  // overwrite the slot because head_ has not advanced past it.
   T* front() {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
+    if (head_local_ == tail_cache_) {
+      release();  // caught up: hand every popped slot back first
       tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return nullptr;
+      if (head_local_ == tail_cache_) return nullptr;
     }
-    return &slots_[head & mask_];
+    return &slots_[head_local_ & mask_];
   }
 
-  // Consumer thread only. Precondition: front() returned non-null.
+  // Consumer thread only. Precondition: front() returned non-null. Drops
+  // the front element but keeps its slot from the producer until release().
   void pop() {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
     if constexpr (!std::is_trivially_destructible_v<T>)
-      slots_[head & mask_] = T{};  // release resources held by the slot
-    head_.store(head + 1, std::memory_order_release);
+      slots_[head_local_ & mask_] = T{};  // release resources held by the slot
+    ++head_local_;
   }
 
-  // Consumer thread only.
-  bool try_pop(T& out) {
-    T* f = front();
-    if (!f) return false;
-    out = std::move(*f);
-    pop();
-    return true;
+  // Consumer thread only: hands every popped slot back to the producer.
+  void release() {
+    if (head_.load(std::memory_order_relaxed) != head_local_)
+      head_.store(head_local_, std::memory_order_release);
   }
 
-  // Any thread; exact only when both sides are quiescent.
-  std::size_t size() const {
-    const uint64_t t = tail_.load(std::memory_order_acquire);
-    const uint64_t h = head_.load(std::memory_order_acquire);
-    return t >= h ? static_cast<std::size_t>(t - h) : 0;
+  // Consumer thread only: true when every element pushed so far has been
+  // popped, released or not.
+  bool empty() const {
+    return head_local_ == tail_.load(std::memory_order_acquire);
   }
-  bool empty() const { return size() == 0; }
 
  private:
   std::vector<T> slots_;
@@ -98,6 +100,7 @@ class SpscRing {
   alignas(kCacheLineBytes) std::atomic<uint64_t> tail_{0};  // producer index
   alignas(kCacheLineBytes) uint64_t head_cache_ = 0;  // producer's view of head_
   alignas(kCacheLineBytes) uint64_t tail_cache_ = 0;  // consumer's view of tail_
+  uint64_t head_local_ = 0;  // consumer's head; head_ trails it until release()
 };
 
 }  // namespace sfq::rt

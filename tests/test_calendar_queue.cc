@@ -208,6 +208,45 @@ TEST(CalendarQueue, RandomizedDifferentialAgainstExactModel) {
   }
 }
 
+// A cursor whose digit is kSlots - 1 on level 1 (and on level 2 as well):
+// settle_min then looks for buckets above the last slot of that level and
+// must move on to the next level up. Entries sit on every level, in the
+// overflow band and in the cursor's own page; the pops must match the exact
+// model throughout.
+TEST(CalendarQueue, CursorDigitAtTheLastSlotMovesUpALevel) {
+  constexpr uint64_t kLastDigitL1 = 0xFF05;    // level-1 digit 255
+  constexpr uint64_t kLastDigitL12 = 0xFFFF05;  // level-1 and -2 digits 255
+  for (const uint64_t anchor : {kLastDigitL1, kLastDigitL12}) {
+    SCOPED_TRACE(anchor);
+    CalendarQueue wheel(1.0);
+    RefModel ref(1.0);
+    uint64_t seq = 0;
+    uint32_t id = 0;
+    // The floor keeps an emptied wheel anchored at `anchor` rather than at
+    // the first (far-future) key pushed after the pop below.
+    const auto push = [&](uint64_t tick) {
+      const double tag = static_cast<double>(tick) + 0.25;
+      wheel.push(id, tag, static_cast<double>(anchor));
+      ref.push(id, tag, seq++);
+      ++id;
+    };
+    push(anchor);
+    ASSERT_EQ(take(wheel), ref.pop());  // the cursor now sits at `anchor`
+    ASSERT_EQ(wheel.cursor_tick(), anchor);
+    for (const uint64_t tick :
+         {anchor + 0x1000000ull + 7, anchor + 0x10000ull + 3,
+          anchor + 0x100ull, anchor + (1ull << 33), anchor + 0x1000000ull + 7,
+          anchor + 0x10000ull + 3, anchor + 0xF0ull})
+      push(tick);
+    while (!ref.empty()) {
+      ASSERT_FALSE(wheel.empty());
+      ASSERT_EQ(wheel.top_id(), ref.top_id());
+      ASSERT_EQ(take(wheel), ref.pop());
+    }
+    EXPECT_TRUE(wheel.empty());
+  }
+}
+
 // Update semantics when an id moves *within* the same bucket: it re-enters
 // at the bucket tail (a fresh admission), exactly like the reference model's
 // erase + re-push with a new seq.

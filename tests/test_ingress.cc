@@ -1,8 +1,8 @@
 // Multi-producer ingress (rt/ingress.h): the dispatcher's earliest-stamp
 // merge over P rings, the lowest-index tie-break capture/replay relies on,
-// in-place peek/pop across ring wraparound, the abandon count, and a
-// two-producer run of the in-place consumer (the case scripts/tsan.sh
-// exists for).
+// in-place peek/pop across ring wraparound, the slot's contents, batched
+// slot release, the abandon count, and a two-producer run of the in-place
+// consumer (the case scripts/tsan.sh exists for).
 #include "rt/ingress.h"
 
 #include <gtest/gtest.h>
@@ -30,7 +30,7 @@ Packet make_packet(FlowId flow, uint64_t seq) {
 std::vector<std::tuple<Time, std::size_t, uint64_t>> drain(Ingress& in) {
   std::vector<std::tuple<Time, std::size_t, uint64_t>> out;
   std::size_t ring = 0;
-  while (const Packet* p = in.peek_earliest(ring)) {
+  while (const IngressSlot* p = in.peek_earliest(ring)) {
     out.emplace_back(p->arrival, ring, p->seq);
     in.pop(ring);
   }
@@ -68,7 +68,7 @@ TEST(Ingress, EqualStampsGoToTheLowestRing) {
   for (std::size_t i = 4; i-- > 0;)  // push highest ring first
     ASSERT_TRUE(in.push(i, make_packet(static_cast<FlowId>(i), 0), 1.0));
   std::size_t ring = 99;
-  const Packet* head = in.peek_earliest(ring);
+  const IngressSlot* head = in.peek_earliest(ring);
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(ring, 0u);
   EXPECT_EQ(head->flow, 0u);
@@ -101,7 +101,7 @@ TEST(Ingress, InPlacePeekAndPopAcrossWraparound) {
       ASSERT_TRUE(in.push(i, make_packet(static_cast<FlowId>(i), seq[i]++), t));
     }
     for (int k = 0; k < 3; ++k) {
-      const Packet* head = in.peek_earliest(ring);
+      const IngressSlot* head = in.peek_earliest(ring);
       ASSERT_NE(head, nullptr);
       // The head is read where it lies: peeking again yields the same slot
       // until pop() releases it.
@@ -129,9 +129,58 @@ TEST(Ingress, PushStampsArrivalAndCountsFullRings) {
   EXPECT_EQ(in.pushed(0), 2u);
   EXPECT_EQ(in.drops(0), 2u);
   std::size_t ring = 0;
-  const Packet* head = in.peek_earliest(ring);
+  const IngressSlot* head = in.peek_earliest(ring);
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->arrival, 0.25);
+}
+
+// The slot carries exactly what rt reads: flow, seq, length and rate
+// round-trip, and arrival is the push stamp, whatever the packet held.
+TEST(Ingress, SlotRoundTripsTheFieldsRtReads) {
+  Ingress in(1, 4);
+  Packet p = make_packet(7, 42);
+  p.length_bits = 1234.5;
+  p.rate = 2.5e6;
+  p.arrival = -1.0;
+  p.start_tag = 9.0;  // scheduler-owned; not carried
+  p.hops = 3;         // simulator-owned; not carried
+  ASSERT_TRUE(in.push(0, p, 0.125));
+  std::size_t ring = 99;
+  const IngressSlot* slot = in.peek_earliest(ring);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(ring, 0u);
+  EXPECT_EQ(slot->flow, 7u);
+  EXPECT_EQ(slot->seq, 42u);
+  EXPECT_EQ(slot->length_bits, 1234.5);
+  EXPECT_EQ(slot->rate, 2.5e6);
+  EXPECT_EQ(slot->arrival, 0.125);
+}
+
+// pop() does not hand the slot back: the dispatcher's empty() already reads
+// the rings as drained, while the producer still finds the popped slots
+// taken until release().
+TEST(Ingress, EmptyRightAfterDrainingBeforeRelease) {
+  Ingress in(2, 4);
+  ASSERT_TRUE(in.push(1, make_packet(1, 0), 1.0));
+  ASSERT_TRUE(in.push(0, make_packet(0, 0), 2.0));
+  ASSERT_TRUE(in.push(0, make_packet(0, 1), 3.0));
+  // Ring 0's last head is the batch's last pop, so no later peek catches up
+  // with ring 0's tail (which would release it).
+  std::size_t ring = 0;
+  for (const std::size_t expect : {1u, 0u, 0u}) {
+    ASSERT_NE(in.peek_earliest(ring), nullptr);
+    EXPECT_EQ(ring, expect);
+    in.pop(ring);
+  }
+  EXPECT_TRUE(in.empty());
+  // Ring 0 holds two popped, unreleased slots: two of its four are free.
+  EXPECT_TRUE(in.push(0, make_packet(0, 2), 4.0));
+  EXPECT_TRUE(in.push(0, make_packet(0, 3), 4.0));
+  EXPECT_FALSE(in.push(0, make_packet(0, 4), 4.0));
+  EXPECT_FALSE(in.empty());
+  in.release();
+  EXPECT_TRUE(in.push(0, make_packet(0, 4), 5.0));
+  EXPECT_EQ(in.drops(0), 1u);
 }
 
 TEST(Ingress, DiscardAllCountsEveryVisibleItem) {
@@ -169,7 +218,7 @@ TEST(Ingress, ConcurrentProducersKeepPerRingOrder) {
   uint64_t got = 0;
   std::size_t ring = 0;
   while (got < kProducers * kPerProducer) {
-    const Packet* head = in.peek_earliest(ring);
+    const IngressSlot* head = in.peek_earliest(ring);
     if (head == nullptr) {
       std::this_thread::yield();
       continue;

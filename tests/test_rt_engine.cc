@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -455,6 +456,58 @@ TEST(RtEngine, BatchedClockReadsKeepCaptureMonotoneAtAnUnboundedLink) {
       plane.snapshot().hist_total(tel::HistId::kServiceLag);
   ASSERT_GT(lag.count, 0u);
   EXPECT_LT(lag.quantile_s(0.5), 0.25e-3);
+}
+
+// Two-slot rings under a 64-arrival drain batch: slots are handed back at
+// batch end and whenever the dispatcher catches up with a ring, so blocking
+// producers always get room again. Everything is delivered and the ledger
+// is exact. A wedge would leave the producers spinning in offer_wait; the
+// test then abandons the engine (which makes offer_wait return) and fails
+// instead of hanging.
+TEST(RtEngine, TwoSlotRingsUnderALargerDrainBatchDeliverEverything) {
+  constexpr std::size_t kProducers = 2;
+  constexpr uint64_t kPerProducer = 20000;
+  SfqScheduler sched;
+  for (int f = 0; f < 4; ++f) sched.add_flow(1e6 * (f + 1), 512.0);
+  EngineOptions opts;
+  opts.producers = kProducers;
+  opts.ring_capacity = 2;
+  RtEngine engine(sched, std::make_unique<net::ConstantRate>(1e15), opts);
+  ASSERT_EQ(engine.ingress().ring_capacity(), 2u);
+  engine.start();
+  std::atomic<uint64_t> offered{0};
+  std::vector<std::thread> producers;
+  for (std::size_t i = 0; i < kProducers; ++i) {
+    producers.emplace_back([&engine, &offered, i] {
+      for (uint64_t k = 0; k < kPerProducer; ++k) {
+        if (!engine.offer_wait(
+                i, make_packet(static_cast<FlowId>((k + i) % 4), k, 512.0)))
+          return;
+        offered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (offered.load(std::memory_order_relaxed) < kProducers * kPerProducer &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const bool finished =
+      offered.load(std::memory_order_relaxed) == kProducers * kPerProducer;
+  engine.stop(finished ? StopMode::kDrain : StopMode::kAbandon);
+  for (auto& t : producers) t.join();
+  ASSERT_TRUE(finished) << "producers wedged at "
+                        << offered.load(std::memory_order_relaxed) << " of "
+                        << kProducers * kPerProducer;
+
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.ingress_pushed, kProducers * kPerProducer);
+  EXPECT_EQ(s.ingress_drops, 0u);
+  EXPECT_EQ(s.transmitted, kProducers * kPerProducer);
+  EXPECT_EQ(s.dropped(), 0u);
+  EXPECT_EQ(s.abandoned, 0u);
+  EXPECT_EQ(s.backlog, 0u);
+  expect_ledger(s);
 }
 
 TEST(RtEngine, TelemetryPlaneMirrorsTheLedger) {

@@ -1,6 +1,7 @@
 // Lock-free SPSC ring (rt/spsc_ring.h): boundary conditions, index
-// wraparound, slot release for non-trivial payloads, and a two-thread
-// producer/consumer stress run (the case scripts/tsan.sh exists for).
+// wraparound, slot release for non-trivial payloads, batched slot release
+// (pop/release), and two-thread producer/consumer stress runs (the case
+// scripts/tsan.sh exists for).
 #include "rt/spsc_ring.h"
 
 #include <gtest/gtest.h>
@@ -25,28 +26,28 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
 TEST(SpscRing, EmptyRing) {
   SpscRing<int> ring(4);
   EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.front(), nullptr);
-  int out = -1;
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_EQ(out, -1);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));  // all free
+  EXPECT_FALSE(ring.empty());
 }
 
 TEST(SpscRing, FullBoundaryAndFifoOrder) {
   SpscRing<int> ring(4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
   EXPECT_FALSE(ring.try_push(99));  // full: exactly capacity elements
-  EXPECT_EQ(ring.size(), 4u);
 
-  int out = -1;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
+  ASSERT_NE(ring.front(), nullptr);
+  EXPECT_EQ(*ring.front(), 0);
+  ring.pop();
+  ring.release();
   EXPECT_TRUE(ring.try_push(4));   // one slot reopened
   EXPECT_FALSE(ring.try_push(5));  // and only one
 
   for (int expect = 1; expect <= 4; ++expect) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, expect);
+    const int* f = ring.front();
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(*f, expect);
+    ring.pop();
   }
   EXPECT_TRUE(ring.empty());
 }
@@ -74,9 +75,10 @@ TEST(SpscRing, WraparoundPreservesOrder) {
     const int burst = 1 + round % 8;
     for (int i = 0; i < burst; ++i)
       if (ring.try_push(next_in)) ++next_in;
-    uint64_t v = 0;
-    while (ring.try_pop(v)) {
-      ASSERT_EQ(v, next_out);
+    // A null front() has caught up and released every popped slot.
+    while (const uint64_t* f = ring.front()) {
+      ASSERT_EQ(*f, next_out);
+      ring.pop();
       ++next_out;
     }
   }
@@ -89,14 +91,14 @@ TEST(SpscRing, PopReleasesNonTrivialSlot) {
   auto p = std::make_shared<int>(42);
   ASSERT_TRUE(ring.try_push(p));
   EXPECT_EQ(p.use_count(), 2);
-  std::shared_ptr<int> out;
-  ASSERT_TRUE(ring.try_pop(out));
-  out.reset();
+  ASSERT_NE(ring.front(), nullptr);
+  ring.pop();                   // before any release()
   EXPECT_EQ(p.use_count(), 1);  // slot no longer holds a reference
 }
 
 // Two-thread stress: one producer, one consumer, a small ring so both sides
-// hit full/empty constantly. The consumer must see 0..N-1 in order.
+// hit full/empty constantly; the consumer releases after every pop. It must
+// see 0..N-1 in order.
 TEST(SpscRing, TwoThreadStress) {
   constexpr uint64_t kCount = 200000;
   SpscRing<uint64_t> ring(64);
@@ -113,10 +115,11 @@ TEST(SpscRing, TwoThreadStress) {
   uint64_t expect = 0;
   uint64_t sum = 0;
   while (expect < kCount) {
-    uint64_t v = 0;
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expect);
-      sum += v;
+    if (const uint64_t* f = ring.front()) {
+      ASSERT_EQ(*f, expect);
+      sum += *f;
+      ring.pop();
+      ring.release();
       ++expect;
     } else {
       std::this_thread::yield();
@@ -125,6 +128,84 @@ TEST(SpscRing, TwoThreadStress) {
   producer.join();
   EXPECT_TRUE(ring.empty());
   EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
+}
+
+// pop() takes the front element but not its slot: the producer keeps seeing
+// the ring full until release() publishes the consumer's head.
+TEST(SpscRing, PoppedSlotsStayOccupiedUntilRelease) {
+  SpscRing<int> ring(2);
+  ASSERT_TRUE(ring.try_push(0));
+  ASSERT_TRUE(ring.try_push(1));
+  ASSERT_NE(ring.front(), nullptr);
+  ring.pop();
+  EXPECT_FALSE(ring.try_push(2));  // the popped slot is not back yet
+  EXPECT_FALSE(ring.empty());
+  int* f = ring.front();  // not caught up: no implicit release
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(*f, 1);
+  ring.pop();
+  EXPECT_TRUE(ring.empty());       // nothing left to take...
+  EXPECT_FALSE(ring.try_push(2));  // ...but both slots still held
+  ring.release();
+  EXPECT_TRUE(ring.try_push(2));
+  EXPECT_TRUE(ring.try_push(3));
+  EXPECT_FALSE(ring.try_push(4));
+}
+
+// A front() that catches up with the tail it last saw releases by itself,
+// so a consumer that drained the ring never holds slots back.
+TEST(SpscRing, FrontReleasesWhenItCatchesUp) {
+  SpscRing<int> ring(4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(i));
+  for (int i = 0; i < 4; ++i) {
+    int* f = ring.front();
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(*f, i);
+    ring.pop();
+  }
+  EXPECT_FALSE(ring.try_push(4));
+  EXPECT_EQ(ring.front(), nullptr);  // caught up: released
+  for (int i = 4; i < 8; ++i) ASSERT_TRUE(ring.try_push(i));
+  // Catching up also re-reads the tail, so new items show straight away.
+  int* f = ring.front();
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(*f, 4);
+}
+
+// Two threads at capacity 4 with batched releases: the consumer takes runs
+// of 1..7 elements (longer than the ring, so runs end by catching up) and
+// releases once per run. FIFO order must hold throughout.
+TEST(SpscRing, BatchedReleaseTwoThreadStress) {
+  constexpr uint64_t kCount = 200000;
+  SpscRing<uint64_t> ring(4);
+
+  std::thread producer([&ring] {
+    for (uint64_t i = 0; i < kCount;) {
+      if (ring.try_push(i))
+        ++i;
+      else
+        std::this_thread::yield();
+    }
+  });
+
+  uint64_t expect = 0;
+  uint64_t run = 0;
+  while (expect < kCount) {
+    const uint64_t batch = 1 + run++ % 7;
+    uint64_t taken = 0;
+    while (taken < batch) {
+      const uint64_t* f = ring.front();
+      if (f == nullptr) break;
+      ASSERT_EQ(*f, expect);
+      ring.pop();
+      ++expect;
+      ++taken;
+    }
+    ring.release();
+    if (taken == 0) std::this_thread::yield();
+  }
+  producer.join();
+  EXPECT_TRUE(ring.empty());
 }
 
 }  // namespace
