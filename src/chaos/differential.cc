@@ -298,11 +298,13 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
   tel::Telemetry tele(topts);
   engine->set_telemetry(&tele);
   engine->start();
+  uint64_t offer_calls = 0;
   for (const Offer& o : offers) {
     Packet p;
     p.flow = o.flow;
     p.seq = o.seq;
     p.length_bits = o.bits;
+    ++offer_calls;
     if (!engine->offer_wait(0, p)) break;
   }
 
@@ -397,9 +399,11 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
     }
   }
 
-  // Cross-shard ledger conservation: the telemetry plane sums counters over
-  // every shard's cells, the engine sums the per-shard ledgers — both must
-  // agree exactly, and backlog is the sum of the per-shard backlog gauges.
+  // Cross-shard ledger conservation, read through the telemetry plane (which
+  // sums every shard's and epoch's counter cells): the offered side — every
+  // offer_wait call the harness made — is pushed or an ingress drop, and the
+  // flow identities hold with backlog as the sum of the per-shard backlog
+  // gauges.
   {
     const tel::TelemetrySnapshot ts = tele.snapshot();
     const rt::EngineStats es = engine->stats();
@@ -429,32 +433,18 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
       res.fail("telemetry", ss.str());
       return false;
     };
-    if (!conserve("pushed + migrated_in == accepted + pre-drops + abandoned",
+    if (!conserve("offer calls == pushed + ingress drops", offer_calls,
+                  c(tel::CounterId::kIngressPushed) +
+                      c(tel::CounterId::kIngressDrops)) ||
+        !conserve("pushed + migrated_in == accepted + pre-drops + abandoned",
                   c(tel::CounterId::kIngressPushed) + es.migrated_in,
                   c(tel::CounterId::kAccepted) + pre_drops +
                       c(tel::CounterId::kAbandoned)) ||
         !conserve("accepted == transmitted + backlog + post-drops + migrated",
                   c(tel::CounterId::kAccepted),
                   c(tel::CounterId::kTransmitted) + backlog + post_drops +
-                      es.migrated_out) ||
-        !conserve("plane vs ledger: ingress_pushed",
-                  c(tel::CounterId::kIngressPushed), es.ingress_pushed) ||
-        !conserve("plane vs ledger: accepted", c(tel::CounterId::kAccepted),
-                  es.accepted) ||
-        !conserve("plane vs ledger: transmitted",
-                  c(tel::CounterId::kTransmitted), es.transmitted) ||
-        (!kill_mode &&
-         !conserve("plane vs ledger: backlog", backlog, es.backlog)) ||
-        !conserve("plane vs ledger: abandoned", c(tel::CounterId::kAbandoned),
-                  es.abandoned))
+                      es.migrated_out))
       return res;
-    for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
-      const obs::DropCause cause = static_cast<obs::DropCause>(i);
-      if (cause == obs::DropCause::kNone) continue;
-      if (!conserve(obs::to_string(cause), c(tel::drop_counter(cause)),
-                    es.drops[i]))
-        return res;
-    }
   }
 
   // Hierarchical root bound over the sampled middle windows: for every pair
@@ -671,11 +661,13 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
   obs::telemetry::Telemetry tele;
   engine.set_telemetry(&tele);
   engine.start();
+  uint64_t offer_calls = 0;
   for (const Offer& o : offers) {
     Packet p;
     p.flow = o.flow;
     p.seq = o.seq;
     p.length_bits = o.bits;
+    ++offer_calls;
     if (!engine.offer_wait(0, p)) break;  // engine stalled/stopped
   }
   engine.stop(rt::StopMode::kDrain);
@@ -700,14 +692,14 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
     }
   }
 
-  // Telemetry conservation: the lock-free plane and the engine's own ledger
-  // count the same packets through independent code paths, so their flow
-  // identities must agree exactly — every packet pushed through ingress is
-  // accepted, dropped for a named cause, abandoned, or still in the backlog.
+  // Ledger conservation, read through the telemetry plane: every
+  // offer_wait call the harness made is pushed or an ingress drop, and every
+  // pushed packet is accepted, dropped for a named cause, abandoned, or
+  // still in the backlog (the backlog gauge the dispatcher published at
+  // exit).
   {
     namespace tel = obs::telemetry;
     const tel::TelemetrySnapshot ts = tele.snapshot();
-    const rt::EngineStats es = engine.stats();
     auto c = [&](tel::CounterId id) { return ts.counter_total(id); };
     const uint64_t pre_drops = c(tel::CounterId::kDropUnknownFlow) +
                                c(tel::CounterId::kDropBufferLimit) +
@@ -724,33 +716,17 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
       res.fail("telemetry", ss.str());
       return false;
     };
-    if (!conserve("pushed == accepted + pre-drops + abandoned",
+    if (!conserve("offer calls == pushed + ingress drops", offer_calls,
+                  c(tel::CounterId::kIngressPushed) +
+                      c(tel::CounterId::kIngressDrops)) ||
+        !conserve("pushed == accepted + pre-drops + abandoned",
                   c(tel::CounterId::kIngressPushed),
                   c(tel::CounterId::kAccepted) + pre_drops +
                       c(tel::CounterId::kAbandoned)) ||
         !conserve("accepted == transmitted + backlog + post-drops",
                   c(tel::CounterId::kAccepted),
-                  c(tel::CounterId::kTransmitted) + backlog + post_drops) ||
-        !conserve("plane vs ledger: ingress_pushed",
-                  c(tel::CounterId::kIngressPushed), es.ingress_pushed) ||
-        !conserve("plane vs ledger: accepted", c(tel::CounterId::kAccepted),
-                  es.accepted) ||
-        !conserve("plane vs ledger: transmitted",
-                  c(tel::CounterId::kTransmitted), es.transmitted) ||
-        !conserve("plane vs ledger: abandoned", c(tel::CounterId::kAbandoned),
-                  es.abandoned) ||
-        !conserve("plane vs ledger: stalls", c(tel::CounterId::kStalls),
-                  es.stalls) ||
-        !conserve("plane vs ledger: recoveries",
-                  c(tel::CounterId::kRecoveries), es.recoveries))
+                  c(tel::CounterId::kTransmitted) + backlog + post_drops))
       return res;
-    for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
-      const obs::DropCause cause = static_cast<obs::DropCause>(i);
-      if (cause == obs::DropCause::kNone) continue;
-      if (!conserve(obs::to_string(cause), c(tel::drop_counter(cause)),
-                    es.drops[i]))
-        return res;
-    }
   }
 
   // Single-threaded replay of the captured op sequence on a fresh scheduler.

@@ -95,16 +95,23 @@ void SfqScheduler::ready_erase_if_present(FlowId f) {
 bool SfqScheduler::enqueue(Packet p, Time now) {
   if (!admit(p, now)) return false;
   FlowState& st = flow_state_[p.flow];
+  const FlowId f = p.flow;
+  const bool was_empty = queues_.flow_empty(f);
 
   p.start_tag = std::max(vtime_, st.last_finish);
-  if (g_tag_bug.load(std::memory_order_relaxed) && p.seq % 3 == 0)
-    p.start_tag = vtime_;  // injected bug: forgot F(p_f^{j-1}) — eq. 4 broken
+  // Injected bug: forgot F(p_f^{j-1}) — eq. 4 broken. Only on a packet that
+  // becomes its flow's head at once, where v(t) is still a legal ready-queue
+  // key. Queued behind the flow's backlog, the tag would be stale by the
+  // time the packet reached the head (v(t) has moved on), and the wheel
+  // core's below-cursor assert would abort Debug builds before the
+  // invariant checker could report the regression.
+  if (g_tag_bug.load(std::memory_order_relaxed) && was_empty &&
+      p.seq % 3 == 0)
+    p.start_tag = vtime_;
   const double rate = p.rate > 0.0 ? p.rate : flows_.weight(p.flow);
   p.finish_tag = p.start_tag + p.length_bits / rate;
   st.last_finish = p.finish_tag;
 
-  const FlowId f = p.flow;
-  const bool was_empty = queues_.flow_empty(f);
   p.sched_order = ++enqueue_seq_;
   trace_tag(p, now, vtime_, queues_.packets() + 1);
   queues_.push(std::move(p));

@@ -108,12 +108,13 @@ class SfqScheduler : public Scheduler {
   std::size_t gc_pending() const { return retired_.size(); }
 
   // Test hook (chaos-harness self-test only): when set, every third packet
-  // of a flow skips the max with F(p_f^{j-1}) and tags S = v(t) directly —
-  // the classic tag-arithmetic bug eq. 4 exists to prevent. The harness must
-  // detect it ("start tag regressed below previous finish") and shrink the
-  // failing scenario; see tests/test_chaos_harness.cc. Process-global on
-  // purpose: the harness builds schedulers behind the config factory and has
-  // no handle to individual instances. Never set outside tests.
+  // of a flow that arrives at an empty flow queue skips the max with
+  // F(p_f^{j-1}) and tags S = v(t) directly — the classic tag-arithmetic
+  // bug eq. 4 exists to prevent. The harness must detect it ("start tag
+  // regressed below previous finish") and shrink the failing scenario; see
+  // tests/test_chaos_harness.cc. Process-global on purpose: the harness
+  // builds schedulers behind the config factory and has no handle to
+  // individual instances. Never set outside tests.
   static void set_tag_bug_for_test(bool on);
 
  private:

@@ -1,5 +1,6 @@
 #include "obs/telemetry/telemetry.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sfq::obs::telemetry {
@@ -13,17 +14,19 @@ Telemetry::Telemetry(TelemetryOptions opts)
 }
 
 Telemetry::Writer Telemetry::writer(std::size_t shard) {
-  if (shard >= shards_)
-    throw std::out_of_range("Telemetry::writer: shard out of range");
-  std::lock_guard<std::mutex> lock(writers_mu_);
-  writers_.push_back(std::make_unique<Writer::Cells>());
-  Writer::Cells* cells = writers_.back().get();
-  cells->shard = shard;
-  for (std::atomic<uint64_t>& c : cells->v)
-    c.store(0, std::memory_order_relaxed);
+  auto cells = std::make_shared<CounterCells>(shard);
   Writer w;
-  w.cells_ = cells;
+  w.cells_ = cells.get();
+  attach(std::move(cells));
   return w;
+}
+
+void Telemetry::attach(std::shared_ptr<const CounterCells> cells) {
+  if (cells->shard >= shards_)
+    throw std::out_of_range("Telemetry: counter cells' shard out of range");
+  std::lock_guard<std::mutex> lock(cells_mu_);
+  if (std::find(cells_.begin(), cells_.end(), cells) == cells_.end())
+    cells_.push_back(std::move(cells));
 }
 
 TelemetrySnapshot Telemetry::snapshot() const {
@@ -33,12 +36,8 @@ TelemetrySnapshot Telemetry::snapshot() const {
   s.counters.assign(shards_, {});
   s.gauges.assign(shards_, {});
   {
-    std::lock_guard<std::mutex> lock(writers_mu_);
-    for (const auto& cells : writers_) {
-      auto& dst = s.counters[cells->shard];
-      for (std::size_t i = 0; i < kCounterCount; ++i)
-        dst[i] += cells->v[i].load(std::memory_order_relaxed);
-    }
+    std::lock_guard<std::mutex> lock(cells_mu_);
+    for (const auto& cells : cells_) cells->add_to(s.counters[cells->shard]);
   }
   for (std::size_t sh = 0; sh < shards_; ++sh)
     for (std::size_t g = 0; g < kGaugeCount; ++g)

@@ -4,19 +4,23 @@
 // Layout per shard (shard = one dispatcher of the future multi-core engine;
 // today's single-dispatcher RtEngine is shard 0):
 //
-//   * counters — one cache-line-aligned cell block per registered *writer*
+//   * counters — one cache-line-aligned CounterCells block per writer
 //     (thread). A writer increments its own cells with a relaxed load+store
 //     pair (single-writer, so no RMW needed); the reader aggregates by
 //     summing cells across writers. Sums of per-writer monotone counters
 //     are monotone across snapshots, so readers never observe a counter go
-//     backwards.
+//     backwards. A block is either the plane's own (writer()) or owned by
+//     its producer and attached (attach()): an RtEngine's cells are its
+//     ledger, and the plane shares ownership so it keeps reporting them
+//     after the engine is gone.
 //   * gauges — one atomic<double> per id per shard, plain store/load.
 //   * histograms — one LockFreeHistogram per id per shard, multi-writer
 //     wait-free fetch_add (histogram.h).
 //
-// Registration (writer(), at thread setup) takes a mutex and allocates; the
-// record path after that touches only pre-allocated atomics. snapshot() is
-// the only reader-side operation and is safe from any thread at any time.
+// Registration (writer()/attach(), at thread setup) takes a mutex and
+// allocates; the record path after that touches only pre-allocated atomics.
+// snapshot() is the only reader-side operation and is safe from any thread
+// at any time.
 #pragma once
 
 #include <array>
@@ -35,6 +39,30 @@ inline constexpr std::size_t kTelemetryCacheLine = 64;
 
 struct TelemetryOptions {
   std::size_t shards = 1;
+};
+
+// One thread's monotone counters, on cache lines of their own. Exactly one
+// thread writes a block (relaxed load+store, no locked RMW); any thread may
+// read it. `shard` is the label the block's counts are reported under.
+struct CounterCells {
+  explicit CounterCells(std::size_t shard_label = 0) : shard(shard_label) {}
+  CounterCells(const CounterCells&) = delete;
+  CounterCells& operator=(const CounterCells&) = delete;
+
+  void inc(CounterId id, uint64_t n = 1) {
+    std::atomic<uint64_t>& c = v[static_cast<std::size_t>(id)];
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+  void drop(DropCause cause) { inc(drop_counter(cause)); }
+  // Adds every counter of this block into `sum` (relaxed reads).
+  void add_to(std::array<uint64_t, kCounterCount>& sum) const {
+    for (std::size_t i = 0; i < kCounterCount; ++i)
+      sum[i] += v[i].load(std::memory_order_relaxed);
+  }
+
+  alignas(kTelemetryCacheLine)
+      std::array<std::atomic<uint64_t>, kCounterCount> v{};
+  const std::size_t shard;
 };
 
 // Everything a snapshot captures, as plain values. Counters and histograms
@@ -71,36 +99,33 @@ class Telemetry {
 
   std::size_t shards() const { return shards_; }
 
-  // A thread's handle onto its private counter cells. Values may move to the
-  // plane only through a writer; the handle stays valid for the plane's
-  // lifetime and must be used by one thread at a time.
+  // A thread's handle onto plane-owned counter cells. The handle stays
+  // valid for the plane's lifetime and must be used by one thread at a
+  // time.
   class Writer {
    public:
     Writer() = default;
 
-    void inc(CounterId id, uint64_t n = 1) {
-      std::atomic<uint64_t>& c = cells_->v[static_cast<std::size_t>(id)];
-      // Single-writer cell: load+store beats a locked RMW on the hot path.
-      c.store(c.load(std::memory_order_relaxed) + n,
-              std::memory_order_relaxed);
-    }
-    void drop(DropCause cause) { inc(drop_counter(cause)); }
+    void inc(CounterId id, uint64_t n = 1) { cells_->inc(id, n); }
+    void drop(DropCause cause) { cells_->drop(cause); }
 
     explicit operator bool() const { return cells_ != nullptr; }
 
    private:
     friend class Telemetry;
-    struct Cells {
-      alignas(kTelemetryCacheLine) std::array<std::atomic<uint64_t>,
-                                              kCounterCount> v;
-      std::size_t shard = 0;
-    };
-    Cells* cells_ = nullptr;
+    CounterCells* cells_ = nullptr;
   };
 
   // Registers a new writer against `shard`. Allocates (mutex-protected) —
   // call at thread setup, never on the record path.
   Writer writer(std::size_t shard);
+
+  // Adds a caller-owned cell block to the counter sums, with whatever it
+  // already counted. The plane shares ownership, so the block's counts stay
+  // in every later snapshot even once its owner is gone. Attaching a block
+  // that is already attached does nothing. Throws std::out_of_range when
+  // the block's shard is not one of this plane's.
+  void attach(std::shared_ptr<const CounterCells> cells);
 
   // Gauges: single conceptual writer per (id, shard); last store wins.
   void set_gauge(GaugeId id, double v, std::size_t shard = 0) {
@@ -132,8 +157,8 @@ class Telemetry {
   std::size_t shards_;
   std::unique_ptr<std::atomic<double>[]> gauges_;   // shards * kGaugeCount
   std::unique_ptr<LockFreeHistogram[]> hists_;      // shards * kHistCount
-  mutable std::mutex writers_mu_;
-  std::vector<std::unique_ptr<Writer::Cells>> writers_;
+  mutable std::mutex cells_mu_;
+  std::vector<std::shared_ptr<const CounterCells>> cells_;
   mutable std::atomic<uint64_t> epoch_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "rt/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -87,10 +88,15 @@ RtEngine::RtEngine(Scheduler& sched, std::unique_ptr<net::RateProfile> profile,
     : sched_(sched),
       profile_(std::move(profile)),
       opts_(opts),
-      ingress_(opts.producers, opts.ring_capacity) {
+      ingress_(opts.producers, opts.ring_capacity),
+      disp_cells_(std::make_shared<tel::CounterCells>(opts.telemetry_shard)) {
   if (!profile_) throw std::invalid_argument("RtEngine: null rate profile");
   if (auto err = validate(opts_)) throw std::invalid_argument(*err);
   clock_.set_plan(opts_.fault_plan);
+  prod_cells_.reserve(ingress_.producers());
+  for (std::size_t i = 0; i < ingress_.producers(); ++i)
+    prod_cells_.push_back(
+        std::make_shared<tel::CounterCells>(opts_.telemetry_shard));
 }
 
 std::unique_ptr<RtEngine> RtEngine::try_create(
@@ -132,46 +138,38 @@ void RtEngine::set_telemetry(tel::Telemetry* plane) {
     throw std::logic_error("RtEngine: set_telemetry while running");
   tele_ = plane;
   tele_on_ = plane != nullptr;
-  prod_writers_.clear();
   profiler_.reset();
   h_dwell_ = h_qdelay_ = h_lag_ = nullptr;
   if (tele_ == nullptr) return;
+  tele_->attach(disp_cells_);
+  for (const auto& cells : prod_cells_) tele_->attach(cells);
   const std::size_t shard = opts_.telemetry_shard;
-  disp_writer_ = tele_->writer(shard);
   h_dwell_ = &tele_->hist(tel::HistId::kIngressDwell, shard);
   h_qdelay_ = &tele_->hist(tel::HistId::kQueueDelay, shard);
   h_lag_ = &tele_->hist(tel::HistId::kServiceLag, shard);
-  prod_writers_.reserve(ingress_.producers());
-  for (std::size_t i = 0; i < ingress_.producers(); ++i)
-    prod_writers_.push_back(tele_->writer(shard));
   profiler_ = std::make_unique<tel::StageProfiler>(*tele_, shard);
   profiler_->enable(opts_.profiling);
 }
 
 bool RtEngine::offer(std::size_t i, Packet p) {
-  if (!accepting_.load(std::memory_order_acquire)) {
-    ingress_.count_drop(i);
-    if (tele_on_) prod_writers_[i].inc(tel::CounterId::kIngressDrops);
-    return false;
-  }
-  const bool pushed = ingress_.push(i, p, clock_.now());
-  if (tele_on_)
-    prod_writers_[i].inc(pushed ? tel::CounterId::kIngressPushed
-                                : tel::CounterId::kIngressDrops);
+  const bool pushed = accepting_.load(std::memory_order_acquire) &&
+                      ingress_.push(i, p, clock_.now());
+  prod_cells_[i]->inc(pushed ? tel::CounterId::kIngressPushed
+                             : tel::CounterId::kIngressDrops);
   return pushed;
 }
 
 bool RtEngine::offer_wait(std::size_t i, Packet p) {
   for (;;) {
     if (!accepting_.load(std::memory_order_acquire)) {
-      ingress_.count_drop(i);
-      if (tele_on_) prod_writers_[i].inc(tel::CounterId::kIngressDrops);
+      prod_cells_[i]->inc(tel::CounterId::kIngressDrops);
       return false;
     }
     // Packet is trivially copyable; retry with a fresh timestamp each spin
-    // so the ingress stamp reflects when the push actually succeeded.
-    if (ingress_.push(i, p, clock_.now(), /*count_full=*/false)) {
-      if (tele_on_) prod_writers_[i].inc(tel::CounterId::kIngressPushed);
+    // so the ingress stamp reflects when the push actually succeeded. A
+    // full ring counts nothing: the packet is still this producer's.
+    if (ingress_.push(i, p, clock_.now())) {
+      prod_cells_[i]->inc(tel::CounterId::kIngressPushed);
       return true;
     }
     std::this_thread::yield();
@@ -180,25 +178,22 @@ bool RtEngine::offer_wait(std::size_t i, Packet p) {
 
 OfferStatus RtEngine::try_offer(std::size_t i, const Packet& p) {
   if (!accepting_.load(std::memory_order_acquire)) return OfferStatus::kClosed;
-  // count_full=false: backpressure is the caller's to resolve — the attempt
-  // only lands in the ledger once it ends in a push or an abandon.
-  if (ingress_.push(i, p, clock_.now(), /*count_full=*/false)) {
-    if (tele_on_) prod_writers_[i].inc(tel::CounterId::kIngressPushed);
+  // Backpressure is the caller's to resolve — the attempt only lands in the
+  // ledger once it ends in a push or an abandon.
+  if (ingress_.push(i, p, clock_.now())) {
+    prod_cells_[i]->inc(tel::CounterId::kIngressPushed);
     return OfferStatus::kAccepted;
   }
   return OfferStatus::kBackpressure;
 }
 
 void RtEngine::note_offer_retry(std::size_t i) {
-  if (tele_on_) prod_writers_[i].inc(tel::CounterId::kOfferRetries);
+  prod_cells_[i]->inc(tel::CounterId::kOfferRetries);
 }
 
 void RtEngine::note_offer_abandoned(std::size_t i) {
-  ingress_.count_drop(i);
-  if (tele_on_) {
-    prod_writers_[i].inc(tel::CounterId::kIngressDrops);
-    prod_writers_[i].inc(tel::CounterId::kOfferAbandoned);
-  }
+  prod_cells_[i]->inc(tel::CounterId::kIngressDrops);
+  prod_cells_[i]->inc(tel::CounterId::kOfferAbandoned);
 }
 
 void RtEngine::start() {
@@ -439,21 +434,13 @@ void RtEngine::run() {
       link_.busy = true;
       progressed = true;
     }
-    // Flush transmit counters once per serve batch rather than per packet:
-    // histograms need per-packet samples but the counters only need totals.
-    if (tele_on_ && served > 0) {
-      disp_writer_.inc(tel::CounterId::kTransmitted,
-                       static_cast<uint64_t>(served));
-      disp_writer_.inc(tel::CounterId::kTxBits, served_bits);
-    }
     if (progressed) {
       if (watchdog) last_progress_raw_ = clock_.raw_now();
       consecutive_stalls_ = 0;
       if (recovery_pending_) {
         // A stall episode healed: the restart actually restored service.
         recovery_pending_ = false;
-        recoveries_.fetch_add(1, std::memory_order_relaxed);
-        if (tele_on_) disp_writer_.inc(tel::CounterId::kRecoveries);
+        disp_cells_->inc(tel::CounterId::kRecoveries);
       }
     }
     // Service-rate EWMA feeding the shedding buckets: fold each ~10 ms
@@ -474,9 +461,7 @@ void RtEngine::run() {
     // 4. Exit checks.
     if (stopping && !link_.busy) {
       if (abandon) {
-        const uint64_t left = ingress_.discard_all();
-        abandoned_.fetch_add(left, std::memory_order_relaxed);
-        if (tele_on_) disp_writer_.inc(tel::CounterId::kAbandoned, left);
+        disp_cells_->inc(tel::CounterId::kAbandoned, ingress_.discard_all());
         return;
       }
       if (drained == 0 && ingress_.empty() && sched_.empty()) return;
@@ -510,8 +495,7 @@ void RtEngine::run() {
 }
 
 bool RtEngine::watchdog_stall(Time now, Time raw_now) {
-  stalls_.fetch_add(1, std::memory_order_relaxed);
-  if (tele_on_) disp_writer_.inc(tel::CounterId::kStalls);
+  disp_cells_->inc(tel::CounterId::kStalls);
   // Diagnose: which stage owns the wedge. A pending transmission whose
   // deadline never arrives is a transmit wedge; a backlogged scheduler that
   // yields nothing is a schedule wedge; otherwise the ingress/drain side
@@ -558,9 +542,7 @@ void RtEngine::permanent_stop(StallStage stage) {
   last_stall_stage_.store(static_cast<int8_t>(stage),
                           std::memory_order_relaxed);
   accepting_.store(false, std::memory_order_release);
-  const uint64_t left = ingress_.discard_all();
-  abandoned_.fetch_add(left, std::memory_order_relaxed);
-  if (tele_on_) disp_writer_.inc(tel::CounterId::kAbandoned, left);
+  disp_cells_->inc(tel::CounterId::kAbandoned, ingress_.discard_all());
   stalled_.store(true, std::memory_order_release);
 }
 
@@ -650,7 +632,6 @@ void RtEngine::inject(const IngressSlot& slot, Time now) {
       const FlowId victim = longest_queue();
       if (victim != kInvalidFlow) {
         if (std::optional<Packet> evicted = sched_.pushout(victim, now)) {
-          post_enqueue_drops_.fetch_add(1, std::memory_order_relaxed);
           if (capture_ != nullptr)
             capture_->push_back({CaptureOp::Kind::kPushout, *evicted, now});
           drop(*evicted, now, obs::DropCause::kPushout);
@@ -670,13 +651,10 @@ void RtEngine::inject(const IngressSlot& slot, Time now) {
   if (!sched_.enqueue(p, now)) {
     // The discipline's own admit gate refused the packet (counted and traced
     // there); mirror it in the engine ledger like ScheduledServer does.
-    cause_drops_[static_cast<std::size_t>(obs::DropCause::kUnknownFlow)]
-        .fetch_add(1, std::memory_order_relaxed);
-    if (tele_on_) disp_writer_.drop(obs::DropCause::kUnknownFlow);
+    disp_cells_->drop(obs::DropCause::kUnknownFlow);
     return;
   }
-  add_single_writer(accepted_, uint64_t{1});
-  if (tele_on_) disp_writer_.inc(tel::CounterId::kAccepted);
+  disp_cells_->inc(tel::CounterId::kAccepted);
   if (trace_on_) [[unlikely]] {
     obs::TraceEvent e;
     e.type = obs::TraceEventType::kEnqueue;
@@ -691,9 +669,7 @@ void RtEngine::inject(const IngressSlot& slot, Time now) {
 }
 
 void RtEngine::drop(const Packet& p, Time now, obs::DropCause cause) {
-  cause_drops_[static_cast<std::size_t>(cause)].fetch_add(
-      1, std::memory_order_relaxed);
-  if (tele_on_) disp_writer_.drop(cause);
+  disp_cells_->drop(cause);
   if (trace_on_) [[unlikely]]
     tracer_->emit(obs::make_event(obs::TraceEventType::kDrop, p, now,
                                   /*vtime=*/0.0, sched_.backlog_packets(),
@@ -704,16 +680,20 @@ void RtEngine::complete(const Packet& p, Time now, Time deadline) {
   if (capture_ != nullptr)
     capture_->push_back({CaptureOp::Kind::kComplete, p, now});
   sched_.on_transmit_complete(p, now);
-  add_single_writer(transmitted_, uint64_t{1});
-  add_single_writer(tx_bits_, p.length_bits);
+  // Counted at the completion itself, not per serve batch: stats().backlog
+  // then reaches 0 as soon as the last packet completes, and the chaos
+  // harness's drain-window fairness sampler reads backlog > 0 as "this
+  // shard stayed busy".
+  disp_cells_->inc(tel::CounterId::kTransmitted);
+  disp_cells_->inc(tel::CounterId::kTxBits,
+                   static_cast<uint64_t>(p.length_bits));
   if (p.flow < flow_bits_.size())
     add_single_writer(flow_bits_[p.flow], p.length_bits,
                       std::memory_order_release);
   const double lag = now - deadline;
   if (lag > max_service_lag_.load(std::memory_order_relaxed))
     max_service_lag_.store(lag, std::memory_order_relaxed);
-  // kTransmitted / kTxBits are flushed per serve batch in run(). The
-  // enqueue->transmit histogram records every packet; service lag is
+  // The enqueue->transmit histogram records every packet; service lag is
   // sampled (see kTeleSampleShift).
   if (tele_on_) {
     h_qdelay_->record_seconds_single_writer(now - p.arrival);
@@ -740,28 +720,57 @@ FlowId RtEngine::longest_queue() const {
 }
 
 EngineStats RtEngine::stats() const {
+  std::array<uint64_t, tel::kCounterCount> c{};
+  for (const auto& cells : prod_cells_) cells->add_to(c);
+  disp_cells_->add_to(c);
+  auto count = [&c](tel::CounterId id) {
+    return c[static_cast<std::size_t>(id)];
+  };
   EngineStats s;
-  s.ingress_pushed = ingress_.total_pushed();
-  s.ingress_drops = ingress_.total_drops();
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.transmitted = transmitted_.load(std::memory_order_relaxed);
-  s.tx_bits = tx_bits_.load(std::memory_order_relaxed);
-  s.abandoned = abandoned_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < obs::kDropCauseCount; ++i)
-    s.drops[i] = cause_drops_[i].load(std::memory_order_relaxed);
-  s.migrated_in = migrated_in_.load(std::memory_order_relaxed);
-  s.migrated_out = migrated_out_.load(std::memory_order_relaxed);
-  const uint64_t done = s.transmitted +
-                        post_enqueue_drops_.load(std::memory_order_relaxed) +
+  s.ingress_pushed = count(tel::CounterId::kIngressPushed);
+  s.ingress_drops = count(tel::CounterId::kIngressDrops);
+  s.accepted = count(tel::CounterId::kAccepted);
+  s.transmitted = count(tel::CounterId::kTransmitted);
+  s.tx_bits = static_cast<double>(count(tel::CounterId::kTxBits));
+  s.abandoned = count(tel::CounterId::kAbandoned);
+  for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
+    const auto cause = static_cast<obs::DropCause>(i);
+    if (cause != obs::DropCause::kNone)
+      s.drops[i] = count(tel::drop_counter(cause));
+  }
+  s.migrated_in = count(tel::CounterId::kMigratedIn);
+  s.migrated_out = count(tel::CounterId::kMigratedOut);
+  const uint64_t done = s.transmitted + count(tel::CounterId::kDropPushout) +
+                        count(tel::CounterId::kDropFlowRemoved) +
                         s.migrated_out;
   s.backlog = s.accepted > done ? s.accepted - done : 0;
   s.max_service_lag = max_service_lag_.load(std::memory_order_relaxed);
-  s.stalls = stalls_.load(std::memory_order_relaxed);
-  s.recoveries = recoveries_.load(std::memory_order_relaxed);
+  s.stalls = count(tel::CounterId::kStalls);
+  s.recoveries = count(tel::CounterId::kRecoveries);
   s.last_stall_stage =
       static_cast<StallStage>(last_stall_stage_.load(std::memory_order_relaxed));
   s.overload_state = ov_state_.load(std::memory_order_relaxed);
   return s;
+}
+
+EngineStats& EngineStats::operator+=(const EngineStats& o) {
+  ingress_pushed += o.ingress_pushed;
+  ingress_drops += o.ingress_drops;
+  accepted += o.accepted;
+  transmitted += o.transmitted;
+  tx_bits += o.tx_bits;
+  abandoned += o.abandoned;
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c) drops[c] += o.drops[c];
+  migrated_in += o.migrated_in;
+  migrated_out += o.migrated_out;
+  backlog += o.backlog;
+  max_service_lag = std::max(max_service_lag, o.max_service_lag);
+  stalls += o.stalls;
+  recoveries += o.recoveries;
+  if (o.last_stall_stage != StallStage::kNone)
+    last_stall_stage = o.last_stall_stage;
+  overload_state = std::max(overload_state, o.overload_state);
+  return *this;
 }
 
 void RtEngine::set_capture(std::vector<CaptureOp>* out) {
@@ -865,7 +874,7 @@ void RtEngine::exec_adopt(std::vector<Migration>& flows) {
       sched_.rejoin_flow(m.flow, now);
     }
     for (Packet& p : m.backlog) {
-      migrated_in_.fetch_add(1, std::memory_order_relaxed);
+      disp_cells_->inc(tel::CounterId::kMigratedIn);
       // Arrival path minus the shed gate: traffic the source shard already
       // admitted must not be shed a second time. Buffer pressure still
       // resolves through the configured overload policy so the destination
@@ -877,7 +886,6 @@ void RtEngine::exec_adopt(std::vector<Migration>& flows) {
           const FlowId victim = longest_queue();
           if (victim != kInvalidFlow) {
             if (std::optional<Packet> evicted = sched_.pushout(victim, now)) {
-              post_enqueue_drops_.fetch_add(1, std::memory_order_relaxed);
               if (capture_ != nullptr)
                 capture_->push_back(
                     {CaptureOp::Kind::kPushout, *evicted, now});
@@ -894,13 +902,10 @@ void RtEngine::exec_adopt(std::vector<Migration>& flows) {
       if (capture_ != nullptr)
         capture_->push_back({CaptureOp::Kind::kEnqueue, p, now});
       if (!sched_.enqueue(std::move(p), now)) {
-        cause_drops_[static_cast<std::size_t>(obs::DropCause::kUnknownFlow)]
-            .fetch_add(1, std::memory_order_relaxed);
-        if (tele_on_) disp_writer_.drop(obs::DropCause::kUnknownFlow);
+        disp_cells_->drop(obs::DropCause::kUnknownFlow);
         continue;
       }
-      add_single_writer(accepted_, uint64_t{1});
-      if (tele_on_) disp_writer_.inc(tel::CounterId::kAccepted);
+      disp_cells_->inc(tel::CounterId::kAccepted);
     }
     m.backlog.clear();
   }
@@ -919,7 +924,7 @@ void RtEngine::exec_evict(const std::vector<FlowId>& flows,
         capture_->push_back({CaptureOp::Kind::kRemove, marker, now});
       }
       m.backlog = sched_.remove_flow(f, now);
-      migrated_out_.fetch_add(m.backlog.size(), std::memory_order_relaxed);
+      disp_cells_->inc(tel::CounterId::kMigratedOut, m.backlog.size());
     }
     out.push_back(std::move(m));
   }

@@ -143,8 +143,12 @@ enum class StopMode {
   kAbandon,
 };
 
-// Relaxed snapshot of engine counters; safe to take from any thread while
-// the engine runs. The ledger it satisfies (exactly, once stop() returned):
+// A view of the engine's ledger: the sum of its per-thread counter cells
+// (one block per producer plus the dispatcher's), which an attached
+// telemetry plane reports too — every count is written once, in one cell.
+// Relaxed: safe to take from any thread while the engine runs, and the
+// engine counts whether or not a plane is attached. The ledger it satisfies
+// (exactly, once stop() returned):
 //
 //   offers                         == ingress_pushed + ingress_drops
 //   ingress_pushed + migrated_in   == accepted + pre-enqueue drops + abandoned
@@ -189,6 +193,9 @@ struct EngineStats {
     for (uint64_t d : drops) n += d;
     return n;
   }
+  // Sums another engine's (or epoch's) counts into this one: counters add,
+  // the lag, stall stage and overload state keep the worst / latest.
+  EngineStats& operator+=(const EngineStats& o);
 };
 
 // Wall-clock real-time service engine: runs any Scheduler discipline against
@@ -236,11 +243,11 @@ class RtEngine : public IngressTarget {
   bool offer(std::size_t i, Packet p) override;
   bool offer_wait(std::size_t i, Packet p) override;
   OfferStatus try_offer(std::size_t i, const Packet& p) override;
-  // Ledger hooks for retry loops. note_offer_retry only bumps the
-  // rt.offer_retries telemetry counter. note_offer_abandoned resolves a
-  // backpressured attempt as given up: it counts an ingress drop (so
-  // `offers == ingress_pushed + ingress_drops` stays exact) plus the
-  // rt.offer_abandoned telemetry counter.
+  // Ledger hooks for retry loops. note_offer_retry only counts
+  // rt.offer_retries. note_offer_abandoned resolves a backpressured attempt
+  // as given up: it counts an ingress drop (so
+  // `offers == ingress_pushed + ingress_drops` stays exact) plus
+  // rt.offer_abandoned.
   void note_offer_retry(std::size_t i) override;
   void note_offer_abandoned(std::size_t i) override;
 
@@ -249,11 +256,13 @@ class RtEngine : public IngressTarget {
   void set_tracer(obs::Tracer* tracer);
 
   // Attaches the lock-free telemetry plane (docs/OBSERVABILITY.md): the
-  // engine registers per-thread counter cells (one per producer plus the
-  // dispatcher) under EngineOptions::telemetry_shard and records the
-  // enqueue->transmit latency, ingress dwell and service-lag histograms on
-  // the hot path. Attach before start(); nullptr detaches. The plane must
-  // outlive the engine's run.
+  // plane reads the engine's counter cells (its ledger, with everything
+  // counted so far) under EngineOptions::telemetry_shard and keeps them
+  // after the engine is destroyed; the engine records the
+  // enqueue->transmit latency, ingress dwell and service-lag histograms and
+  // the gauges on the hot path. Attach before start(); nullptr stops the
+  // histograms, gauges and stats thread, while a plane attached earlier
+  // still reads the counts. The plane must outlive the engine's run.
   void set_telemetry(obs::telemetry::Telemetry* plane);
   obs::telemetry::Telemetry* telemetry() const { return tele_; }
   // Port the stats endpoint actually bound (0 when disabled); useful with
@@ -379,14 +388,12 @@ class RtEngine : public IngressTarget {
   bool trace_on_ = false;
   std::vector<CaptureOp>* capture_ = nullptr;  // dispatcher-thread writes
 
-  // Telemetry plane wiring (set_telemetry). Writer cells are per thread:
-  // producer i increments prod_writers_[i] from offer()/offer_wait(); the
-  // dispatcher owns disp_writer_. tele_on_ is latched before start() so the
-  // hot path pays one predictable branch when detached.
+  // Telemetry plane wiring (set_telemetry): histograms, gauges and the
+  // stats thread. tele_on_ is latched before start() so the hot path pays
+  // one predictable branch when detached. Counters do not depend on it: the
+  // plane reads the engine's own cells (ledger below).
   obs::telemetry::Telemetry* tele_ = nullptr;
   bool tele_on_ = false;
-  obs::telemetry::Telemetry::Writer disp_writer_;
-  std::vector<obs::telemetry::Telemetry::Writer> prod_writers_;
   std::unique_ptr<obs::telemetry::StageProfiler> profiler_;
   // Dispatcher-owned latency histograms, resolved once at set_telemetry():
   // single-writer recording (relaxed load+store, no locked RMW) keeps the
@@ -400,8 +407,7 @@ class RtEngine : public IngressTarget {
   obs::telemetry::LockFreeHistogram* h_qdelay_ = nullptr;
   obs::telemetry::LockFreeHistogram* h_lag_ = nullptr;
   // Dispatcher-only sampling counters, written per packet: they start a
-  // cache line so they never share one with the fields above, which
-  // producers read on every offer (tele_on_, prod_writers_).
+  // cache line so they never share one with the fields above.
   alignas(kCacheLineBytes) uint32_t dwell_tick_ = 0;
   uint32_t lag_tick_ = 0;
 
@@ -430,32 +436,30 @@ class RtEngine : public IngressTarget {
   bool started_ = false;
   std::mutex stop_mu_;
   std::atomic<bool> running_{false};
-  // Producers read accepting_ on every offer: it sits on its own cache
-  // line, away from link_ above and the per-packet counters below, which
-  // the dispatcher writes per packet.
+  // Producers read accepting_ and their cell pointer on every offer: both
+  // sit on a cache line of their own, away from link_ above and the fields
+  // below, which the dispatcher writes per packet.
   alignas(kCacheLineBytes) std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<StopMode> stop_mode_{StopMode::kDrain};
 
-  // accepted_, transmitted_ and tx_bits_ have one writer (the dispatcher),
-  // which updates them with relaxed load+store rather than a locked RMW.
-  alignas(kCacheLineBytes) std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> transmitted_{0};
-  std::atomic<double> tx_bits_{0.0};
-  std::atomic<uint64_t> abandoned_{0};
-  std::atomic<uint64_t> cause_drops_[obs::kDropCauseCount] = {};
-  std::atomic<uint64_t> post_enqueue_drops_{0};
-  std::atomic<double> max_service_lag_{0.0};
-  std::atomic<uint64_t> stalls_{0};
+  // The ledger: one counter cell block per producer (prod_cells_[i], written
+  // only by producer thread i: pushes, ingress drops, retries) and one for
+  // the dispatcher (everything downstream of the rings; once the dispatcher
+  // has exited, harvest_flows' caller). Each block has one writer at a time
+  // and lines of its own. Created with the engine, so counts made
+  // before set_telemetry()/start() are kept; a plane attaches the same
+  // blocks and shares their ownership. stats() sums them.
+  std::vector<std::shared_ptr<obs::telemetry::CounterCells>> prod_cells_;
+  std::shared_ptr<obs::telemetry::CounterCells> disp_cells_;
+
+  alignas(kCacheLineBytes) std::atomic<double> max_service_lag_{0.0};
   std::atomic<bool> stalled_{false};
-  std::atomic<uint64_t> migrated_in_{0};
-  std::atomic<uint64_t> migrated_out_{0};
   // Single-writer (dispatcher) per-flow service totals, one flat array sized
   // at start() (a vector of atomics is never resized, only replaced whole).
   std::vector<std::atomic<double>> flow_bits_;
 
   // Watchdog escalation state (dispatcher thread; atomics are for stats()).
-  std::atomic<uint64_t> recoveries_{0};
   std::atomic<int8_t> last_stall_stage_{
       static_cast<int8_t>(StallStage::kNone)};
   uint32_t consecutive_stalls_ = 0;   // restarts since the last progress

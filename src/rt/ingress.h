@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,25 +66,23 @@ static_assert(sizeof(IngressSlot) == 40);
 // they are (the dispatcher never enqueues at a time below the arrival stamp
 // and only ever moves its clock reading forward).
 //
-// Backpressure: a full ring is a counted drop (or a spin, for producers that
-// must not lose packets), never a block inside the scheduler — the same
-// philosophy as PR 2's overload policies, applied one stage earlier.
+// Backpressure: push() on a full ring returns false. RtEngine turns that
+// into a counted drop (or a spin, for producers that must not lose
+// packets), never a block inside the scheduler — the scheduler's overload
+// policies, applied one stage earlier. The rings count nothing: the
+// engine's per-thread counter cells are the ledger.
 class Ingress {
  public:
   Ingress(std::size_t producers, std::size_t ring_capacity);
 
-  std::size_t producers() const { return shards_.size(); }
-  std::size_t ring_capacity() const { return shards_[0]->ring.capacity(); }
+  std::size_t producers() const { return rings_.size(); }
+  std::size_t ring_capacity() const { return rings_[0]->capacity(); }
 
-  // Producer `i` only. Pushes `p`'s slot fields with `arrival` = `now`.
-  // False when the ring is full; with `count_full` (the default) the drop
-  // has then already been counted against shard i. Blocking producers retry
-  // with count_full = false so one lost packet is not counted once per spin.
-  bool push(std::size_t i, const Packet& p, Time now, bool count_full = true);
-
-  // Producer `i` only: records a backpressure drop that happened outside the
-  // ring (e.g. an offer rejected because the engine stopped accepting).
-  void count_drop(std::size_t i);
+  // Producer `i` only. Pushes `p`'s slot fields with `arrival` = `now`;
+  // false when the ring is full.
+  bool push(std::size_t i, const Packet& p, Time now) {
+    return rings_[i]->try_push(IngressSlot::of(p, now));
+  }
 
   // Dispatcher only: the earliest-stamped head across all rings (ties to the
   // lowest producer index), read in place, with its ring's index in `ring`;
@@ -96,7 +93,7 @@ class Ingress {
   // Dispatcher only: pops ring `ring`'s head; its slot returns to the
   // producer at the next release(). Precondition: the head was just
   // returned by peek_earliest.
-  void pop(std::size_t ring) { shards_[ring]->ring.pop(); }
+  void pop(std::size_t ring) { rings_[ring]->pop(); }
 
   // Dispatcher only: hands every popped slot back to its producer.
   void release();
@@ -112,20 +109,8 @@ class Ingress {
   // correctness.
   bool empty() const;
 
-  // Any thread (relaxed counters).
-  uint64_t pushed(std::size_t i) const;
-  uint64_t drops(std::size_t i) const;
-  uint64_t total_pushed() const;
-  uint64_t total_drops() const;
-
  private:
-  struct Shard {
-    explicit Shard(std::size_t capacity) : ring(capacity) {}
-    SpscRing<IngressSlot> ring;
-    alignas(kCacheLineBytes) std::atomic<uint64_t> pushed{0};
-    std::atomic<uint64_t> drops{0};
-  };
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<SpscRing<IngressSlot>>> rings_;
 };
 
 }  // namespace sfq::rt

@@ -510,6 +510,120 @@ TEST(RtEngine, TwoSlotRingsUnderALargerDrainBatchDeliverEverything) {
   expect_ledger(s);
 }
 
+// One ledger: the engine counts each event once, in per-thread cells that
+// stats() sums and an attached plane reads. One deterministic load runs
+// detached and attached: an offer() before set_telemetry() and start() (an
+// ingress drop), 40 packets for two registered flows, 40 for an
+// unregistered one (kUnknownFlow drops), one retry and one backpressured
+// attempt given up (an ingress drop). Both runs report the same exact
+// counts; the plane, snapshotted after its engine is gone, reports every
+// one of them.
+struct OneLedgerRun {
+  EngineStats stats;
+  uint64_t offers = 0;
+};
+
+OneLedgerRun run_one_ledger_load(obs::telemetry::Telemetry* plane) {
+  namespace tel = obs::telemetry;
+  SfqScheduler sched;
+  sched.add_flow(1e6, kBits);
+  sched.add_flow(1e6, kBits);
+  RtEngine engine(sched, std::make_unique<net::ConstantRate>(1e9));
+  OneLedgerRun r;
+  EXPECT_FALSE(engine.offer(0, make_packet(0, 0)));
+  ++r.offers;
+  EXPECT_EQ(engine.stats().ingress_drops, 1u);
+  if (plane != nullptr) {
+    engine.set_telemetry(plane);
+    EXPECT_EQ(plane->snapshot().counter_total(tel::CounterId::kIngressDrops),
+              1u);
+  }
+  engine.start();
+  for (uint64_t i = 1; i <= 40; ++i) {
+    EXPECT_TRUE(engine.offer_wait(0, make_packet(i % 2, i)));
+    EXPECT_TRUE(engine.offer(0, make_packet(/*flow=*/7, i)));
+    r.offers += 2;
+  }
+  engine.note_offer_retry(0);
+  engine.note_offer_abandoned(0);
+  ++r.offers;
+  wait_processed(engine, 80);
+  engine.stop(StopMode::kDrain);
+  r.stats = engine.stats();
+  return r;
+}
+
+TEST(RtEngine, OneLedgerBehindStatsAndThePlane) {
+  namespace tel = obs::telemetry;
+  const OneLedgerRun detached = run_one_ledger_load(nullptr);
+  tel::Telemetry plane;
+  const OneLedgerRun attached = run_one_ledger_load(&plane);
+  for (const OneLedgerRun* r : {&detached, &attached}) {
+    const EngineStats& s = r->stats;
+    expect_ledger(s);
+    EXPECT_EQ(r->offers, s.ingress_pushed + s.ingress_drops);
+    EXPECT_EQ(s.ingress_pushed, 80u);
+    EXPECT_EQ(s.ingress_drops, 2u);  // the pre-start offer + the given-up one
+    EXPECT_EQ(s.accepted, 40u);
+    EXPECT_EQ(s.transmitted, 40u);
+    EXPECT_EQ(s.tx_bits, 40 * kBits);
+    EXPECT_EQ(cause(s, obs::DropCause::kUnknownFlow), 40u);
+    EXPECT_EQ(s.dropped(), 40u);
+    EXPECT_EQ(s.abandoned, 0u);
+    EXPECT_EQ(s.backlog, 0u);
+  }
+
+  const EngineStats& s = attached.stats;
+  const tel::TelemetrySnapshot snap = plane.snapshot();
+  auto c = [&](tel::CounterId id) { return snap.counter_total(id); };
+  EXPECT_EQ(c(tel::CounterId::kIngressPushed), s.ingress_pushed);
+  EXPECT_EQ(c(tel::CounterId::kIngressDrops), s.ingress_drops);
+  EXPECT_EQ(c(tel::CounterId::kAccepted), s.accepted);
+  EXPECT_EQ(c(tel::CounterId::kTransmitted), s.transmitted);
+  EXPECT_EQ(static_cast<double>(c(tel::CounterId::kTxBits)), s.tx_bits);
+  EXPECT_EQ(c(tel::CounterId::kAbandoned), s.abandoned);
+  EXPECT_EQ(c(tel::CounterId::kStalls), s.stalls);
+  EXPECT_EQ(c(tel::CounterId::kRecoveries), s.recoveries);
+  EXPECT_EQ(c(tel::CounterId::kMigratedIn), s.migrated_in);
+  EXPECT_EQ(c(tel::CounterId::kMigratedOut), s.migrated_out);
+  for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
+    const auto dc = static_cast<obs::DropCause>(i);
+    if (dc == obs::DropCause::kNone) continue;
+    EXPECT_EQ(c(tel::drop_counter(dc)), s.drops[i]) << obs::to_string(dc);
+  }
+  EXPECT_EQ(c(tel::CounterId::kOfferRetries), 1u);
+  EXPECT_EQ(c(tel::CounterId::kOfferAbandoned), 1u);
+}
+
+// Ring-full accounting. A scripted pause freezes the dispatcher from its
+// first loop, so a two-slot ring fills: offer() on the full ring counts one
+// ingress drop, a backpressured try_offer counts nothing until it is given
+// up, and stop(kAbandon) cuts the pause short.
+TEST(RtEngine, FullRingCountsOneIngressDropPerLostOffer) {
+  SfqScheduler sched;
+  sched.add_flow(1e6, kBits);
+  EngineOptions opts;
+  opts.ring_capacity = 2;
+  opts.fault_plan.pauses.push_back({/*at=*/0.0, /*duration=*/30.0});
+  RtEngine engine(sched, std::make_unique<net::ConstantRate>(1e9), opts);
+  engine.start();
+  EXPECT_TRUE(engine.offer(0, make_packet(0, 1)));
+  EXPECT_TRUE(engine.offer(0, make_packet(0, 2)));
+  EXPECT_FALSE(engine.offer(0, make_packet(0, 3)));
+  EXPECT_EQ(engine.try_offer(0, make_packet(0, 4)),
+            OfferStatus::kBackpressure);
+  EngineStats s = engine.stats();
+  EXPECT_EQ(s.ingress_pushed, 2u);
+  EXPECT_EQ(s.ingress_drops, 1u);
+  engine.note_offer_abandoned(0);
+  engine.stop(StopMode::kAbandon);
+  s = engine.stats();
+  EXPECT_EQ(s.ingress_pushed, 2u);
+  EXPECT_EQ(s.ingress_drops, 2u);
+  EXPECT_EQ(s.accepted + s.abandoned, 2u);
+  expect_ledger(s);
+}
+
 TEST(RtEngine, TelemetryPlaneMirrorsTheLedger) {
   namespace tel = obs::telemetry;
   SfqScheduler sched;

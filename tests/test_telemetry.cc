@@ -9,7 +9,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +274,71 @@ TEST(TelemetryExposition, JsonNamesEveryCounter) {
   EXPECT_NE(js.find("\"rt.accepted\":{\"total\":3"), std::string::npos);
   EXPECT_EQ(js.front(), '{');
   EXPECT_EQ(js.back(), '}');
+}
+
+// Golden renderings: a hand-built two-shard snapshot with every counter,
+// gauge and histogram id set, rendered by to_prometheus and to_json and
+// compared byte for byte with tests/golden/. A metric that is added, renamed
+// or re-ordered shows up as a diff of those files. To accept an intended
+// change, rerun the two tests with SFQ_UPDATE_GOLDEN=1 in the environment
+// (they rewrite the files and pass) and review the diff.
+
+namespace {
+
+tel::TelemetrySnapshot golden_snapshot() {
+  constexpr std::size_t kShards = 2;
+  tel::TelemetrySnapshot s;
+  s.shards = kShards;
+  s.epoch = 7;
+  s.counters.assign(kShards, {});
+  s.gauges.assign(kShards, {});
+  s.hists.resize(kShards);
+  for (std::size_t sh = 0; sh < kShards; ++sh) {
+    for (std::size_t c = 0; c < tel::kCounterCount; ++c)
+      s.counters[sh][c] = 1000 * (sh + 1) + c;
+    for (std::size_t g = 0; g < tel::kGaugeCount; ++g)
+      s.gauges[sh][g] = 0.125 * static_cast<double>(g + 1) +
+                        static_cast<double>(sh);
+    for (std::size_t h = 0; h < tel::kHistCount; ++h) {
+      tel::LockFreeHistogram hist;
+      // Samples spread over the Prometheus decades (1 µs .. 100 s), a
+      // different mix per id and shard.
+      for (uint64_t k = 0; k <= h + sh; ++k) {
+        hist.record(40 + k);                      // exact sub-bucket range
+        hist.record(25000 * (k + 1));             // tens of µs
+        hist.record(3000000 * (h + 1));           // ms
+        if ((h + sh) % 2 == 0) hist.record(1500000000ull);  // 1.5 s
+      }
+      s.hists[sh].push_back(hist.snapshot());
+    }
+  }
+  return s;
+}
+
+void expect_golden(const std::string& file, const std::string& rendered) {
+  const std::string path = std::string(SFQ_TEST_GOLDEN_DIR) + "/" + file;
+  if (const char* update = std::getenv("SFQ_UPDATE_GOLDEN");
+      update != nullptr && std::string(update) == "1") {
+    std::ofstream(path, std::ios::binary) << rendered;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << path;
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(rendered, golden)
+      << path << " differs from the rendering; if the change is intended, "
+      << "rerun with SFQ_UPDATE_GOLDEN=1 and review the diff";
+}
+
+}  // namespace
+
+TEST(TelemetryExposition, PrometheusMatchesGolden) {
+  expect_golden("telemetry.prom", tel::to_prometheus(golden_snapshot()));
+}
+
+TEST(TelemetryExposition, JsonMatchesGolden) {
+  expect_golden("telemetry.json", tel::to_json(golden_snapshot()));
 }
 
 // --- HTTP stats endpoint ------------------------------------------------------
