@@ -18,19 +18,21 @@ export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
 ctest --test-dir "$BUILD" -j"$(nproc)" --output-on-failure \
   -R 'SpscRing|Ingress|RtEngine|ShardedEngine|ShardRouter|ShardFailover|Telemetry|CalendarQueue|FlowTable|SfqWheel'
 
-# Smoke: 4 producers paced at moderate overload, traced (SyncSink path), then
-# a second unpaced blast run (offer_wait/backpressure path), then a stats run
-# that races the stats thread (console + HTTP exposition) against the
-# dispatcher and producers, then a 4-shard sharded-engine run that races 4
-# dispatchers, the root stats thread and the rebalance thread against the
-# producers (cross-shard routing + per-shard ledgers under TSAN), and
-# a shard-failover run that races the supervisor thread (fence,
-# harvest, rehome, cold restart, rehome back) against dispatchers, stats,
-# rebalance and producers while shard 1 is killed mid-run, and finally an
-# SFQ-W run driving the timestamp-wheel ready core (+ flow GC reclaim paths)
-# under the same multi-producer ingress races.
+# Smoke (every sfq_serve run goes through ShardedEngine): 4 producers paced
+# at moderate overload on one shard, traced and invariant-checked (SyncSink
+# path: the sinks hang off shard 0's dispatcher), then a second unpaced
+# blast run (offer_wait/backpressure path), then a stats run that races the
+# stats thread (console + HTTP exposition) against the dispatcher and
+# producers, then a 4-shard run that races 4 dispatchers, the root stats
+# thread and the rebalance thread against the producers (cross-shard
+# routing + per-shard ledgers under TSAN), and a shard-failover run that
+# races the supervisor thread (fence, harvest, rehome, cold restart, rehome
+# back) against dispatchers, stats, rebalance and producers while shard 1 is
+# killed mid-run, and finally an SFQ-W run driving the timestamp-wheel ready
+# core (+ flow GC reclaim paths) under the same multi-producer ingress races.
 "$BUILD/examples/sfq_serve" --producers 4 --flows 4 --duration 0.3 \
-  --rate 20e6 --load 1.5 --buffer 128 --policy pushout > /dev/null
+  --rate 20e6 --load 1.5 --buffer 128 --policy pushout \
+  --check --trace "$BUILD/tsan_trace.jsonl" > /dev/null
 "$BUILD/examples/sfq_serve" --producers 4 --flows 4 --duration 0.05 \
   --rate 1e12 --unpaced --buffer 0 > /dev/null
 "$BUILD/examples/sfq_serve" --producers 4 --flows 4 --duration 0.4 \

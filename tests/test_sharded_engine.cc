@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "chaos/scenario_generator.h"
 #include "core/scheduler_factory.h"
 #include "core/sfq_scheduler.h"
+#include "net/rate_profile.h"
 #include "rt/load_gen.h"
 #include "rt/shard/shard_router.h"
 #include "stats/fairness.h"
@@ -299,6 +301,103 @@ TEST(ShardedEngine, RoutingStableAcrossFlowChurn) {
   EXPECT_EQ(engine->shard_stats(home).transmitted, tx_before + 50);
   for (std::size_t k = 0; k < 2; ++k)
     expect_ledger(engine->shard_stats(k), "shard " + std::to_string(k));
+}
+
+TEST(ShardedEngine, OneShardMatchesRtEngine) {
+  // A one-shard ShardedEngine is the flat SFQ server: the H-SFQ root has one
+  // class, which owns the whole link (eq. 65). The same offer schedule —
+  // mixed packet sizes, every fifth offer to an unregistered id — through it
+  // and through a raw RtEngine over the same discipline, with an infinite
+  // buffer and a drain stop, gives identical ledgers and per-flow service,
+  // and the shard's capture replays bit-exactly on a fresh scheduler.
+  const double link = 2e8;
+  const std::vector<double> weights = {1e6, 2e6, 3e6, 4e6};
+  std::vector<Packet> schedule;
+  for (uint64_t i = 0; i < 4000; ++i)
+    schedule.push_back(make_packet(static_cast<FlowId>(i % 5), i,
+                                   kBits / (1 + i % 2)));
+  EngineOptions eopts;
+  eopts.producers = 1;
+  eopts.buffer_limit = 0;
+  const ShardedEngine::SchedulerFactory factory = sfq_factory(link);
+  auto fresh_scheduler = [&] {
+    std::unique_ptr<Scheduler> sched = factory(0, 1.0);
+    for (double w : weights) sched->add_flow(w, kBits);
+    return sched;
+  };
+
+  std::unique_ptr<Scheduler> raw_sched = fresh_scheduler();
+  RtEngine raw(*raw_sched, std::make_unique<net::ConstantRate>(link), eopts);
+  raw.start();
+  for (const Packet& p : schedule) ASSERT_TRUE(raw.offer_wait(0, p));
+  raw.stop(StopMode::kDrain);
+
+  std::vector<ShardFlow> flows;
+  for (double w : weights) flows.push_back(ShardFlow{w, kBits, ""});
+  ShardedEngineOptions opts;
+  opts.shards = 1;
+  opts.link_rate = link;
+  opts.engine = eopts;
+  auto engine = ShardedEngine::try_create(factory, flows, opts);
+  ASSERT_NE(engine, nullptr);
+  std::vector<std::vector<CaptureOp>> ops;
+  engine->set_capture(&ops);
+  engine->start();
+  for (const Packet& p : schedule) ASSERT_TRUE(engine->offer_wait(0, p));
+  engine->stop(StopMode::kDrain);
+
+  const EngineStats a = raw.stats();
+  const EngineStats b = engine->stats();
+  expect_ledger(a, "raw engine");
+  expect_ledger(b, "one shard");
+  EXPECT_EQ(a.ingress_pushed, schedule.size());
+  EXPECT_EQ(a.ingress_pushed, b.ingress_pushed);
+  EXPECT_EQ(a.ingress_drops, b.ingress_drops);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.transmitted, b.transmitted);
+  EXPECT_EQ(a.tx_bits, b.tx_bits);
+  EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.backlog, b.backlog);
+  EXPECT_EQ(a.migrated_in, b.migrated_in);
+  EXPECT_EQ(a.migrated_out, b.migrated_out);
+  EXPECT_EQ(a.stalls, b.stalls);
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c)
+    EXPECT_EQ(a.drops[c], b.drops[c])
+        << obs::to_string(static_cast<obs::DropCause>(c));
+  EXPECT_EQ(cause(b, obs::DropCause::kUnknownFlow), schedule.size() / 5);
+  for (FlowId f = 0; f < weights.size(); ++f)
+    EXPECT_EQ(raw.flow_tx_bits(f), engine->flow_tx_bits(f)) << "flow " << f;
+
+  // Replay shard 0's transcript: every dequeue must return the packet and
+  // tags the live dispatcher saw.
+  ASSERT_EQ(ops.size(), 1u);
+  std::unique_ptr<Scheduler> replay = fresh_scheduler();
+  uint64_t dequeues = 0;
+  for (std::size_t i = 0; i < ops[0].size(); ++i) {
+    const CaptureOp& op = ops[0][i];
+    switch (op.kind) {
+      case CaptureOp::Kind::kEnqueue:
+        ASSERT_TRUE(replay->enqueue(op.packet, op.t)) << "op " << i;
+        break;
+      case CaptureOp::Kind::kDequeue: {
+        const std::optional<Packet> got = replay->dequeue(op.t);
+        ASSERT_TRUE(got.has_value()) << "op " << i;
+        EXPECT_EQ(got->flow, op.packet.flow) << "op " << i;
+        EXPECT_EQ(got->seq, op.packet.seq) << "op " << i;
+        EXPECT_EQ(got->start_tag, op.packet.start_tag) << "op " << i;
+        EXPECT_EQ(got->finish_tag, op.packet.finish_tag) << "op " << i;
+        ++dequeues;
+        break;
+      }
+      case CaptureOp::Kind::kComplete:
+        replay->on_transmit_complete(op.packet, op.t);
+        break;
+      default:
+        FAIL() << "op " << i << ": no pushout or residency op is possible "
+               << "with an infinite buffer and one shard";
+    }
+  }
+  EXPECT_EQ(dequeues, b.transmitted);
 }
 
 TEST(ShardedEngine, ChaosDifferentialPassesThroughShardedPath) {

@@ -1,6 +1,6 @@
 // Tests for the hot-path telemetry plane (src/obs/telemetry/):
 // histogram bucket math, concurrent recording consistency, exposition
-// formats, the HTTP stats endpoint, and the MetricsRegistry bridge.
+// formats and the HTTP stats endpoint.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,12 +17,10 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/telemetry/exposition.h"
 #include "obs/telemetry/histogram.h"
 #include "obs/telemetry/metric_ids.h"
 #include "obs/telemetry/profile.h"
-#include "obs/telemetry/registry_bridge.h"
 #include "obs/telemetry/stats_server.h"
 #include "obs/telemetry/telemetry.h"
 
@@ -394,27 +392,3 @@ TEST(TelemetryStatsServer, ServesPrometheusAndJson) {
   server.stop();
 }
 
-// --- registry bridge ----------------------------------------------------------
-
-TEST(TelemetryBridge, AdvancesCountersIdempotently) {
-  tel::Telemetry plane;
-  tel::Telemetry::Writer w = plane.writer(0);
-  sfq::obs::MetricsRegistry reg;
-
-  w.inc(tel::CounterId::kTransmitted, 10);
-  w.drop(sfq::obs::DropCause::kBufferLimit);
-  plane.record_seconds(tel::HistId::kQueueDelay, 0.002);
-  plane.set_gauge(tel::GaugeId::kBacklogPackets, 4.0);
-  tel::bridge_to_registry(plane.snapshot(), reg);
-  EXPECT_EQ(reg.counter("rt.transmitted").value(), 10u);
-  EXPECT_EQ(reg.counter("sched.drops.buffer_limit").value(), 1u);
-  EXPECT_EQ(reg.gauge("rt.backlog_packets").value(), 4.0);
-  EXPECT_NEAR(reg.gauge("rt.queue_delay.p50").value(), 0.002, 0.0001);
-  EXPECT_EQ(reg.gauge("rt.queue_delay.count").value(), 1.0);
-
-  // Re-bridging a newer snapshot adds only the delta.
-  w.inc(tel::CounterId::kTransmitted, 5);
-  tel::bridge_to_registry(plane.snapshot(), reg);
-  tel::bridge_to_registry(plane.snapshot(), reg);  // same snapshot state: no-op
-  EXPECT_EQ(reg.counter("rt.transmitted").value(), 15u);
-}
