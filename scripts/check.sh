@@ -36,6 +36,12 @@ with open(sys.argv[1]) as f:
 assert n > 0, "empty trace"
 m = json.load(open(sys.argv[2]))
 assert "flow.voice.delay" in m["histograms"], m["histograms"].keys()
+# Registry histograms render through the telemetry summary object
+# (append_histogram_json), the same keys /metrics.json carries.
+h = m["histograms"]["flow.voice.delay"]
+for key in ("count", "p50_s", "p99_s", "max_s"):
+    assert key in h, (key, sorted(h))
+assert h["count"] > 0 and 0 < h["p50_s"] <= h["p99_s"] <= h["max_s"], h
 assert "sched.drops.buffer_limit" in m["counters"]
 print(f"trace OK: {n} JSONL lines, metrics OK: "
       f"{len(m['counters'])} counters, {len(m['histograms'])} histograms")

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,65 @@ SchedulerOptions scheduler_options_for(const config::ExperimentSpec& spec) {
   // and its replay build bit-identical SFQ-W schedulers.
   opts.sfq_wheel_quantum = config::sfq_wheel_quantum(spec);
   return opts;
+}
+
+// Applies a captured rt transcript to `replay`, a fresh scheduler built the
+// way the live one was, and compares every dequeue and pushout against the
+// packet the engine saw, tags bit-for-bit. Stops at the first divergence
+// (kind "rt-divergence"); `label` names the engine in the message, e.g.
+// " on shard 2". Residency ops (kRemove/kRejoin) appear only in sharded
+// failover transcripts and replay as remove_flow/rejoin_flow.
+CheckResult replay_transcript(Scheduler& replay,
+                              const std::vector<rt::CaptureOp>& ops,
+                              const std::string& label) {
+  CheckResult res;
+  auto matches = [](const std::optional<Packet>& got, const Packet& want) {
+    return got && got->flow == want.flow && got->seq == want.seq &&
+           got->start_tag == want.start_tag &&
+           got->finish_tag == want.finish_tag;
+  };
+  auto mismatch = [&](std::size_t i, const char* what, const Packet& want,
+                      const std::optional<Packet>& got) {
+    std::ostringstream ss;
+    ss << "rt replay diverges" << label << " at op " << i << " (" << what
+       << "): engine saw flow " << want.flow << " seq " << want.seq << " S "
+       << want.start_tag << " F " << want.finish_tag << ", replay ";
+    if (!got) {
+      ss << "returned nothing";
+    } else {
+      ss << "returned flow " << got->flow << " seq " << got->seq << " S "
+         << got->start_tag << " F " << got->finish_tag;
+    }
+    res.fail("rt-divergence", ss.str());
+  };
+  for (std::size_t i = 0; i < ops.size() && res.ok; ++i) {
+    const rt::CaptureOp& op = ops[i];
+    switch (op.kind) {
+      case rt::CaptureOp::Kind::kEnqueue:
+        replay.enqueue(op.packet, op.t);
+        break;
+      case rt::CaptureOp::Kind::kDequeue: {
+        const std::optional<Packet> got = replay.dequeue(op.t);
+        if (!matches(got, op.packet)) mismatch(i, "dequeue", op.packet, got);
+        break;
+      }
+      case rt::CaptureOp::Kind::kComplete:
+        replay.on_transmit_complete(op.packet, op.t);
+        break;
+      case rt::CaptureOp::Kind::kPushout: {
+        const std::optional<Packet> got = replay.pushout(op.packet.flow, op.t);
+        if (!matches(got, op.packet)) mismatch(i, "pushout", op.packet, got);
+        break;
+      }
+      case rt::CaptureOp::Kind::kRemove:
+        replay.remove_flow(op.packet.flow, op.t);
+        break;
+      case rt::CaptureOp::Kind::kRejoin:
+        replay.rejoin_flow(op.packet.flow, op.t);
+        break;
+    }
+  }
+  return res;
 }
 
 }  // namespace
@@ -517,59 +578,10 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
       return res;
     }
     Scheduler& replay = *replay_owned;
-    auto mismatch = [&](std::size_t i, const char* what, const Packet& want,
-                        const Packet* got) {
-      std::ostringstream ss;
-      ss << "rt replay diverges on shard " << k << " at op " << i << " ("
-         << what << "): engine saw flow " << want.flow << " seq " << want.seq
-         << " S " << want.start_tag << " F " << want.finish_tag
-         << ", replay ";
-      if (got == nullptr) {
-        ss << "returned nothing";
-      } else {
-        ss << "returned flow " << got->flow << " seq " << got->seq << " S "
-           << got->start_tag << " F " << got->finish_tag;
-      }
-      res.fail("rt-divergence", ss.str());
-    };
-    for (std::size_t i = 0; i < ops[k].size() && res.ok; ++i) {
-      const rt::CaptureOp& op = ops[k][i];
-      switch (op.kind) {
-        case rt::CaptureOp::Kind::kEnqueue:
-          replay.enqueue(op.packet, op.t);
-          break;
-        case rt::CaptureOp::Kind::kDequeue: {
-          std::optional<Packet> got = replay.dequeue(op.t);
-          if (!got || got->flow != op.packet.flow ||
-              got->seq != op.packet.seq ||
-              got->start_tag != op.packet.start_tag ||
-              got->finish_tag != op.packet.finish_tag)
-            mismatch(i, "dequeue", op.packet, got ? &*got : nullptr);
-          break;
-        }
-        case rt::CaptureOp::Kind::kComplete:
-          replay.on_transmit_complete(op.packet, op.t);
-          break;
-        case rt::CaptureOp::Kind::kPushout: {
-          std::optional<Packet> got = replay.pushout(op.packet.flow, op.t);
-          if (!got || got->flow != op.packet.flow ||
-              got->seq != op.packet.seq ||
-              got->start_tag != op.packet.start_tag ||
-              got->finish_tag != op.packet.finish_tag)
-            mismatch(i, "pushout", op.packet, got ? &*got : nullptr);
-          break;
-        }
-        case rt::CaptureOp::Kind::kRemove:
-          // Harvest/evict: the backlog left with the flow (it re-enqueues
-          // behind a kRejoin in the destination shard's transcript).
-          replay.remove_flow(op.packet.flow, op.t);
-          break;
-        case rt::CaptureOp::Kind::kRejoin:
-          replay.rejoin_flow(op.packet.flow, op.t);
-          break;
-      }
-    }
-    if (res.ok && !replay.empty() != !engine->scheduler(k).empty())
+    const CheckResult r =
+        replay_transcript(replay, ops[k], " on shard " + std::to_string(k));
+    if (!r.ok) return r;
+    if (!replay.empty() != !engine->scheduler(k).empty())
       res.fail("rt-divergence",
                "shard " + std::to_string(k) +
                    " replay backlog disagrees with the live scheduler after " +
@@ -738,59 +750,8 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
     return res;
   }
   Scheduler& replay = *ref.scheduler;
-  auto mismatch = [&](std::size_t i, const char* what, const Packet& want,
-                      const Packet* got) {
-    std::ostringstream ss;
-    ss << "rt replay diverges at op " << i << " (" << what << "): engine saw"
-       << " flow " << want.flow << " seq " << want.seq << " S "
-       << want.start_tag << " F " << want.finish_tag << ", replay ";
-    if (got == nullptr) {
-      ss << "returned nothing";
-    } else {
-      ss << "returned flow " << got->flow << " seq " << got->seq << " S "
-         << got->start_tag << " F " << got->finish_tag;
-    }
-    res.fail("rt-divergence", ss.str());
-  };
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const rt::CaptureOp& op = ops[i];
-    switch (op.kind) {
-      case rt::CaptureOp::Kind::kEnqueue:
-        replay.enqueue(op.packet, op.t);
-        break;
-      case rt::CaptureOp::Kind::kDequeue: {
-        std::optional<Packet> got = replay.dequeue(op.t);
-        if (!got || got->flow != op.packet.flow || got->seq != op.packet.seq ||
-            got->start_tag != op.packet.start_tag ||
-            got->finish_tag != op.packet.finish_tag) {
-          mismatch(i, "dequeue", op.packet, got ? &*got : nullptr);
-          return res;
-        }
-        break;
-      }
-      case rt::CaptureOp::Kind::kComplete:
-        replay.on_transmit_complete(op.packet, op.t);
-        break;
-      case rt::CaptureOp::Kind::kPushout: {
-        std::optional<Packet> got = replay.pushout(op.packet.flow, op.t);
-        if (!got || got->flow != op.packet.flow || got->seq != op.packet.seq ||
-            got->start_tag != op.packet.start_tag ||
-            got->finish_tag != op.packet.finish_tag) {
-          mismatch(i, "pushout", op.packet, got ? &*got : nullptr);
-          return res;
-        }
-        break;
-      }
-      // Residency ops only appear in sharded failover transcripts; a
-      // single-engine capture never emits them, but replay them faithfully.
-      case rt::CaptureOp::Kind::kRemove:
-        replay.remove_flow(op.packet.flow, op.t);
-        break;
-      case rt::CaptureOp::Kind::kRejoin:
-        replay.rejoin_flow(op.packet.flow, op.t);
-        break;
-    }
-  }
+  if (const CheckResult r = replay_transcript(replay, ops, ""); !r.ok)
+    return r;
   if (!replay.empty() != !live.scheduler->empty()) {
     res.fail("rt-divergence",
              "replay backlog disagrees with the live scheduler after " +

@@ -4,74 +4,20 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/telemetry/exposition.h"
+
 namespace sfq::obs {
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-std::vector<double> Histogram::default_delay_bounds() {
-  std::vector<double> b;
-  // 1e-6 .. 1e2 seconds, 4 buckets per decade (x ~1.78).
-  for (double v = 1e-6; v < 2e2; v *= 1.7782794100389228) b.push_back(v);
-  return b;
-}
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0 || v < min_) min_ = v;
-  if (count_ == 0 || v > max_) max_ = v;
-  sum_ += v;
-  ++count_;
-}
-
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const uint64_t prev = cum;
-    cum += counts_[i];
-    if (static_cast<double>(cum) < target) continue;
-    // The overflow bucket has no finite upper edge, so there is nothing to
-    // interpolate against: any in-bucket position would pretend the samples
-    // spread uniformly up to max(), which one outlier makes arbitrarily
-    // wrong. Clamp to the observed maximum instead.
-    if (i == bounds_.size()) return max_;
-    // Interpolate within bucket i; clamp to observed extremes so q=0/1
-    // return min/max rather than bucket edges.
-    const double lo = i == 0 ? min_ : std::max(min_, bounds_[i - 1]);
-    const double hi = std::min(max_, bounds_[i]);
-    const double frac =
-        (target - static_cast<double>(prev)) / static_cast<double>(counts_[i]);
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-  }
-  return max_;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  return histograms_.try_emplace(name).first->second;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  return histograms_.try_emplace(name, std::move(bounds)).first->second;
-}
 
 void MetricsRegistry::dump_text(std::ostream& out) const {
   for (const auto& [name, c] : counters_) out << name << " " << c.value() << "\n";
   for (const auto& [name, g] : gauges_) out << name << " " << g.value() << "\n";
   for (const auto& [name, h] : histograms_) {
-    out << name << "_count " << h.count() << "\n";
-    out << name << "_mean " << h.mean() << "\n";
-    out << name << "_p50 " << h.quantile(0.50) << "\n";
-    out << name << "_p99 " << h.quantile(0.99) << "\n";
-    out << name << "_max " << h.max() << "\n";
+    const telemetry::HistogramSnapshot s = h.snapshot();
+    out << name << "_count " << s.count << "\n";
+    out << name << "_mean " << s.mean_s() << "\n";
+    out << name << "_p50 " << s.quantile_s(0.50) << "\n";
+    out << name << "_p99 " << s.quantile_s(0.99) << "\n";
+    out << name << "_max " << s.max_s() << "\n";
   }
 }
 
@@ -95,17 +41,9 @@ void MetricsRegistry::dump_json(std::ostream& out) const {
   for (const auto& [name, h] : histograms_) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << json_escape(name) << "\":{\"count\":" << h.count()
-        << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
-        << ",\"max\":" << h.max() << ",\"mean\":" << h.mean()
-        << ",\"p50\":" << h.quantile(0.5) << ",\"p99\":" << h.quantile(0.99)
-        << ",\"buckets\":[";
-    const auto& counts = h.bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i) out << ",";
-      out << counts[i];
-    }
-    out << "]}";
+    std::string summary;
+    telemetry::append_histogram_json(summary, h.snapshot());
+    out << "\"" << json_escape(name) << "\":" << summary;
   }
   out << "}}";
 }
@@ -172,7 +110,8 @@ void MetricsSink::on_event(const TraceEvent& e) {
       reg_.counter("flow." + label + ".tx_packets").inc();
       reg_.counter("flow." + label + ".tx_bits")
           .inc(static_cast<uint64_t>(e.length_bits));
-      reg_.histogram("flow." + label + ".delay").observe(e.t - e.arrival);
+      reg_.histogram("flow." + label + ".delay")
+          .record_seconds(e.t - e.arrival);
       break;
     }
     case TraceEventType::kDrop:

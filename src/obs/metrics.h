@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/telemetry/histogram.h"
 #include "obs/trace.h"
 
 namespace sfq::obs {
@@ -32,46 +33,18 @@ class Gauge {
   double v_ = 0.0;
 };
 
-// Fixed-bucket histogram: `bounds` are the inclusive upper edges of the
-// finite buckets; values above the last bound land in the overflow bucket.
-// Quantiles interpolate linearly inside the winning bucket, which is exact
-// enough for the delay distributions we track (bounds are log-spaced).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds = default_delay_bounds());
-
-  void observe(double v);
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double mean() const { return count_ ? sum_ / count_ : 0.0; }
-  double quantile(double q) const;  // q in [0, 1]
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  const std::vector<uint64_t>& bucket_counts() const { return counts_; }
-
-  // Log-spaced seconds: 1 us .. ~100 s, 4 buckets per decade.
-  static std::vector<double> default_delay_bounds();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> counts_;  // bounds_.size() + 1 (overflow)
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 // Name -> metric map with deterministic (sorted) dump order. Accessors
 // create on first use, so instrumentation sites never pre-register.
+// Histograms are the telemetry plane's log-linear LockFreeHistogram (record
+// with record_seconds); dumps summarize them with the same quantile routine
+// and, in JSON, the same per-histogram object as telemetry::to_json.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
+  telemetry::LockFreeHistogram& histogram(const std::string& name) {
+    return histograms_.try_emplace(name).first->second;
+  }
 
   bool has_counter(const std::string& name) const {
     return counters_.count(name) != 0;
@@ -93,7 +66,7 @@ class MetricsRegistry {
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, telemetry::LockFreeHistogram> histograms_;
 };
 
 // Aggregates a trace stream. Flow labels come from `flow_names` when

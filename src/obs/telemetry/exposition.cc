@@ -28,6 +28,24 @@ void append_u64(std::string& out, uint64_t v) {
 
 }  // namespace
 
+void append_histogram_json(std::string& out, const HistogramSnapshot& hs) {
+  out += "{\"count\":";
+  append_u64(out, hs.count);
+  out += ",\"sum_s\":";
+  append_double(out, static_cast<double>(hs.sum_ns) * 1e-9);
+  out += ",\"mean_s\":";
+  append_double(out, hs.mean_s());
+  out += ",\"p50_s\":";
+  append_double(out, hs.quantile_s(0.50));
+  out += ",\"p90_s\":";
+  append_double(out, hs.quantile_s(0.90));
+  out += ",\"p99_s\":";
+  append_double(out, hs.quantile_s(0.99));
+  out += ",\"max_s\":";
+  append_double(out, hs.max_s());
+  out += "}";
+}
+
 std::string to_prometheus(const TelemetrySnapshot& snap) {
   std::string out;
   out.reserve(4096);
@@ -146,23 +164,8 @@ std::string to_json(const TelemetrySnapshot& snap) {
     out += name(id);
     out += "\":[";
     for (std::size_t sh = 0; sh < snap.shards; ++sh) {
-      const HistogramSnapshot& hs = snap.hist(id, sh);
       if (sh) out += ",";
-      out += "{\"count\":";
-      append_u64(out, hs.count);
-      out += ",\"sum_s\":";
-      append_double(out, static_cast<double>(hs.sum_ns) * 1e-9);
-      out += ",\"mean_s\":";
-      append_double(out, hs.mean_s());
-      out += ",\"p50_s\":";
-      append_double(out, hs.quantile_s(0.50));
-      out += ",\"p90_s\":";
-      append_double(out, hs.quantile_s(0.90));
-      out += ",\"p99_s\":";
-      append_double(out, hs.quantile_s(0.99));
-      out += ",\"max_s\":";
-      append_double(out, hs.max_s());
-      out += "}";
+      append_histogram_json(out, snap.hist(id, sh));
     }
     out += "]";
   }

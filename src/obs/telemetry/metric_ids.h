@@ -47,7 +47,7 @@ inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(CounterId::kCount);
 
 // Instantaneous values, written by whichever thread owns the stage (the
-// dispatcher at exit, the stats thread periodically).
+// dispatcher at exit, the ShardedEngine stats thread periodically).
 enum class GaugeId : uint16_t {
   kBacklogPackets = 0,  // accepted - transmitted - post-enqueue drops
   kServiceLagMax,       // worst pacing lateness so far (s)

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/telemetry/exposition.h"
 #include "rt/validate.h"
-#include "stats/fairness.h"
 
 namespace sfq::rt {
 
@@ -115,15 +111,6 @@ std::unique_ptr<RtEngine> RtEngine::try_create(
 
 RtEngine::~RtEngine() {
   if (running()) stop(StopMode::kAbandon);
-  // A watchdog-stopped engine (dispatcher exited on its own, stop() never
-  // called) can still own a live stats thread/server.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_stop_ = true;
-  }
-  stats_cv_.notify_all();
-  if (stats_thread_.joinable()) stats_thread_.join();
-  if (stats_server_) stats_server_->stop();
 }
 
 void RtEngine::set_tracer(obs::Tracer* tracer) {
@@ -201,16 +188,6 @@ void RtEngine::start() {
   started_ = true;
   const std::size_t n = sched_.flows().size();
   flow_bits_ = std::vector<std::atomic<double>>(n);
-  if (tele_on_) {
-    // The flow table is immutable while the engine runs, so the stats thread
-    // works off a private copy of the fairness parameters.
-    fair_weights_.reserve(n);
-    fair_max_bits_.reserve(n);
-    for (FlowId f = 0; f < n; ++f) {
-      fair_weights_.push_back(sched_.flows().weight(f));
-      fair_max_bits_.push_back(sched_.flows().spec(f).max_packet_bits);
-    }
-  }
   // Latch the overload machine: active only when admission control is on AND
   // occupancy is measurable (finite buffer). Shares and bucket depths are
   // derived from the immutable flow table; the refill rate seeds from the
@@ -241,18 +218,10 @@ void RtEngine::start() {
     run();
     // Whatever ended the run (stop(), the watchdog or a kill fault), fail
     // any parked migration control ops, then leave the gauges describing
-    // the final state for post-run scrapes and bridges.
+    // the final state for post-run snapshots.
     dispatcher_exit_cleanup();
     if (tele_on_) publish_final_gauges();
   });
-  if (tele_on_ && (opts_.stats_interval > 0.0 || opts_.stats_port >= 0)) {
-    if (opts_.stats_port >= 0) {
-      stats_server_ = std::make_unique<tel::StatsServer>();
-      stats_server_->start(static_cast<uint16_t>(opts_.stats_port));
-    }
-    stats_stop_ = false;
-    stats_thread_ = std::thread([this] { stats_loop(); });
-  }
 }
 
 void RtEngine::stop(StopMode mode) {
@@ -262,15 +231,6 @@ void RtEngine::stop(StopMode mode) {
   stop_mode_.store(mode, std::memory_order_relaxed);
   stop_requested_.store(true, std::memory_order_release);
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Stop the stats thread after the dispatcher so its final pass sees the
-  // settled counters. The TCP endpoint stays up until destruction so late
-  // scrapes still read the final snapshot.
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    stats_stop_ = true;
-  }
-  stats_cv_.notify_all();
-  if (stats_thread_.joinable()) stats_thread_.join();
   running_.store(false, std::memory_order_release);
 }
 
@@ -955,86 +915,10 @@ std::vector<double> RtEngine::service_snapshot() const {
   return out;
 }
 
-void RtEngine::stats_loop() {
-  // Default cadence when only the TCP endpoint was requested: scrapes want
-  // reasonably fresh data even without an explicit interval.
-  const double interval =
-      opts_.stats_interval > 0.0 ? opts_.stats_interval : 0.5;
-  std::vector<double> prev_service = service_snapshot();
-  std::unique_lock<std::mutex> lock(stats_mu_);
-  while (!stats_stop_) {
-    stats_cv_.wait_for(lock, std::chrono::duration<double>(interval),
-                       [this] { return stats_stop_; });
-    lock.unlock();
-    publish_stats(prev_service);
-    lock.lock();
-  }
-  lock.unlock();
-  // One final pass after the dispatcher settled (stop() joins it before
-  // signalling us) so the published snapshot matches the final ledger.
-  publish_stats(prev_service);
-}
-
-void RtEngine::publish_stats(std::vector<double>& prev_service) {
-  const std::size_t shard = opts_.telemetry_shard;
-  const EngineStats es = stats();
-  tele_->set_gauge(tel::GaugeId::kBacklogPackets,
-                   static_cast<double>(es.backlog), shard);
-  tele_->set_gauge(tel::GaugeId::kServiceLagMax, es.max_service_lag, shard);
-
-  // Theorem-1 fairness monitor over the last window: for every pair of flows
-  // that both received service, compare normalized service W_f/r_f against
-  // the paper's bound l_f/r_f + l_m/r_m (stats::sfq_fairness_bound). Flows
-  // idle in the window are skipped — the theorem only covers intervals where
-  // both flows are backlogged, and "both received service" is the cheapest
-  // online proxy for that.
-  const std::vector<double> cur = service_snapshot();
-  double gap = 0.0;
-  double bound = 0.0;
-  for (std::size_t f = 0; f < cur.size(); ++f) {
-    const double df = cur[f] - prev_service[f];
-    if (df <= 0.0) continue;
-    for (std::size_t m = f + 1; m < cur.size(); ++m) {
-      const double dm = cur[m] - prev_service[m];
-      if (dm <= 0.0) continue;
-      const double g =
-          std::abs(df / fair_weights_[f] - dm / fair_weights_[m]);
-      const double b = stats::sfq_fairness_bound(
-          fair_max_bits_[f], fair_weights_[f], fair_max_bits_[m],
-          fair_weights_[m]);
-      if (g > gap) gap = g;
-      if (b > bound) bound = b;
-    }
-  }
-  prev_service = cur;
-  tele_->set_gauge(tel::GaugeId::kFairnessGap, gap, shard);
-  if (gap > tele_->gauge(tel::GaugeId::kFairnessGapMax, shard))
-    tele_->set_gauge(tel::GaugeId::kFairnessGapMax, gap, shard);
-  tele_->set_gauge(tel::GaugeId::kFairnessBound, bound, shard);
-
-  const tel::TelemetrySnapshot snap = tele_->snapshot();
-  if (stats_server_)
-    stats_server_->publish(tel::to_prometheus(snap), tel::to_json(snap));
-  if (opts_.stats_console) {
-    const tel::HistogramSnapshot qd = snap.hist_total(tel::HistId::kQueueDelay);
-    uint64_t drops = snap.drops_total(shard);
-    std::fprintf(stderr,
-                 "[sfq stats] tx=%llu drops=%llu backlog=%llu "
-                 "delay_p50=%.3fms p99=%.3fms max=%.3fms "
-                 "fair_gap=%.3gms bound=%.3gms lag_max=%.3fms\n",
-                 static_cast<unsigned long long>(es.transmitted),
-                 static_cast<unsigned long long>(drops),
-                 static_cast<unsigned long long>(es.backlog),
-                 qd.quantile_s(0.50) * 1e3, qd.quantile_s(0.99) * 1e3,
-                 qd.max_s() * 1e3, gap * 1e3, bound * 1e3,
-                 es.max_service_lag * 1e3);
-  }
-}
-
 void RtEngine::publish_final_gauges() {
   // Runs on the dispatcher as its last act, so post-run snapshots (chaos
-  // conservation checks, registry bridges) see the settled backlog even when
-  // no stats thread was configured.
+  // conservation checks, the end-of-run /metrics.json) see the settled
+  // backlog whether or not a stats thread is publishing.
   const std::size_t shard = opts_.telemetry_shard;
   const EngineStats es = stats();
   tele_->set_gauge(tel::GaugeId::kBacklogPackets,

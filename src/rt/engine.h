@@ -14,7 +14,6 @@
 #include "net/rate_profile.h"
 #include "net/scheduled_server.h"  // OverloadPolicy
 #include "obs/telemetry/profile.h"
-#include "obs/telemetry/stats_server.h"
 #include "obs/telemetry/telemetry.h"
 #include "obs/trace.h"
 #include "rt/clock.h"
@@ -71,22 +70,8 @@ struct EngineOptions {
   // rt-layer fault plan (clock jumps/skew, scripted dispatcher pauses);
   // empty by default. Chaos wires generated plans through this.
   RtFaultPlan fault_plan;
-  // Live stats publication (requires set_telemetry; docs/OBSERVABILITY.md).
-  // A background stats thread wakes every `stats_interval` seconds, updates
-  // the backlog / pacing-lag / Theorem-1 fairness gauges, snapshots the
-  // telemetry plane and publishes Prometheus + JSON renderings. 0 disables
-  // the thread unless `stats_port` asks for the TCP endpoint, in which case
-  // a 0.5 s default interval is used.
-  double stats_interval = 0.0;
-  // Localhost HTTP exposition port: -1 (default) = no endpoint, 0 = bind an
-  // ephemeral port (RtEngine::stats_endpoint_port() reports it), else the
-  // literal port. GET /metrics serves Prometheus text, /metrics.json JSON.
-  int stats_port = -1;
-  // Print one console summary line per stats interval (sfq_serve
-  // --stats-interval surfaces this).
-  bool stats_console = false;
-  // Shard label this engine's telemetry cells carry (the future sharded
-  // engine gives each dispatcher its own; see ROADMAP item 1).
+  // Shard label this engine's telemetry cells, gauges and histograms carry:
+  // 0 for a lone engine; ShardedEngine gives shard k's engine label k.
   std::size_t telemetry_shard = 0;
   // Runtime switch for the stage-profiling scopes around drain / schedule /
   // transmit. Only effective in builds with SFQ_TELEMETRY_PROFILING; the
@@ -99,9 +84,10 @@ struct EngineOptions {
 // discipline through — enqueue/dequeue/transmit-complete/pushout, each with
 // the wall-clock stamp the call used — and the chaos harness replays it
 // against a fresh single-threaded scheduler instance, comparing every
-// dequeue's packet and tags bit-for-bit (src/chaos/rt_replay.h). Divergence
-// means the threaded pipeline corrupted scheduler state (or the discipline
-// is not a pure function of its input sequence).
+// dequeue's packet and tags bit-for-bit (replay_transcript in
+// src/chaos/differential.cc). Divergence means the threaded pipeline
+// corrupted scheduler state (or the discipline is not a pure function of
+// its input sequence).
 struct CaptureOp {
   enum class Kind : uint8_t {
     kEnqueue,   // packet as offered (tags unset); t = dispatcher inject time
@@ -261,15 +247,11 @@ class RtEngine : public IngressTarget {
   // after the engine is destroyed; the engine records the
   // enqueue->transmit latency, ingress dwell and service-lag histograms and
   // the gauges on the hot path. Attach before start(); nullptr stops the
-  // histograms, gauges and stats thread, while a plane attached earlier
-  // still reads the counts. The plane must outlive the engine's run.
+  // histograms and gauges, while a plane attached earlier still reads the
+  // counts. The plane must outlive the engine's run. Periodic publication
+  // (live gauges, HTTP endpoint, console) belongs to ShardedEngine.
   void set_telemetry(obs::telemetry::Telemetry* plane);
   obs::telemetry::Telemetry* telemetry() const { return tele_; }
-  // Port the stats endpoint actually bound (0 when disabled); useful with
-  // EngineOptions::stats_port = 0.
-  uint16_t stats_endpoint_port() const {
-    return stats_server_ ? stats_server_->port() : 0;
-  }
 
   // Differential-replay capture: records every scheduler-touching operation
   // into `out` (dispatcher thread only; appended in execution order). Attach
@@ -351,8 +333,6 @@ class RtEngine : public IngressTarget {
   void drop(const Packet& p, Time now, obs::DropCause cause);
   void complete(const Packet& p, Time now, Time deadline);
   FlowId longest_queue() const;
-  void stats_loop();
-  void publish_stats(std::vector<double>& prev_service);
   void publish_final_gauges();
   // Overload machine (dispatcher thread only; docs/ROBUSTNESS.md).
   void overload_tick(Time now);
@@ -388,10 +368,10 @@ class RtEngine : public IngressTarget {
   bool trace_on_ = false;
   std::vector<CaptureOp>* capture_ = nullptr;  // dispatcher-thread writes
 
-  // Telemetry plane wiring (set_telemetry): histograms, gauges and the
-  // stats thread. tele_on_ is latched before start() so the hot path pays
-  // one predictable branch when detached. Counters do not depend on it: the
-  // plane reads the engine's own cells (ledger below).
+  // Telemetry plane wiring (set_telemetry): histograms and gauges. tele_on_
+  // is latched before start() so the hot path pays one predictable branch
+  // when detached. Counters do not depend on it: the plane reads the
+  // engine's own cells (ledger below).
   obs::telemetry::Telemetry* tele_ = nullptr;
   bool tele_on_ = false;
   std::unique_ptr<obs::telemetry::StageProfiler> profiler_;
@@ -410,18 +390,6 @@ class RtEngine : public IngressTarget {
   // cache line so they never share one with the fields above.
   alignas(kCacheLineBytes) uint32_t dwell_tick_ = 0;
   uint32_t lag_tick_ = 0;
-
-  // Stats publication (EngineOptions::stats_interval / stats_port): a
-  // background thread periodically refreshes gauges (backlog, pacing lag,
-  // Theorem-1 worst gap vs bound) and publishes snapshot renderings to the
-  // localhost endpoint / console. Never touches the scheduler.
-  std::unique_ptr<obs::telemetry::StatsServer> stats_server_;
-  std::thread stats_thread_;
-  std::mutex stats_mu_;
-  std::condition_variable stats_cv_;
-  bool stats_stop_ = false;
-  std::vector<double> fair_weights_;    // copied at start(); immutable after
-  std::vector<double> fair_max_bits_;
 
   // The link: at most one transmission is ever in flight, so one slot holds
   // it — the packet and the wall-clock deadline at which it frees the link.

@@ -72,6 +72,13 @@ ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
       throw std::invalid_argument(
           "ShardedEngine: failover restart_backoff must be finite and >= 0");
   }
+  if (bad(opts_.stats_interval) || opts_.stats_interval < 0.0)
+    throw std::invalid_argument(
+        "ShardedEngine: stats_interval must be finite and >= 0");
+  if (opts_.rebalance && opts_.shards > 1 &&
+      (bad(opts_.rebalance_interval) || opts_.rebalance_interval <= 0.0))
+    throw std::invalid_argument(
+        "ShardedEngine: rebalance_interval must be finite and > 0");
 
   // Pass 1: route every global flow and accumulate per-shard weight sums —
   // the H-SFQ root weights W_k that fix each shard's rate share.
@@ -171,9 +178,6 @@ std::unique_ptr<RtEngine> ShardedEngine::make_engine_epoch(std::size_t k,
                                                            bool initial) {
   EngineOptions eo = opts_.engine;
   eo.telemetry_shard = k;
-  eo.stats_interval = 0.0;
-  eo.stats_port = -1;
-  eo.stats_console = false;
   if (initial) {
     // Merge the shard-targeted fault plans aimed at this shard.
     for (const auto& sf : opts_.shard_faults) {
@@ -440,8 +444,11 @@ void ShardedEngine::stats_loop() {
 void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
   const std::vector<double> cur = service_snapshot();
 
-  // Per-shard Theorem-1 monitor, same window proxy as the single engine:
-  // only pairs where both flows received service in the window count.
+  // Per-shard Theorem-1 monitor: for every pair of the shard's flows that
+  // both received service in the window, compare normalized service W_f/r_f
+  // against fairness_bound (the paper's l_f/r_f + l_m/r_m for a same-shard
+  // pair). The theorem covers only intervals where both flows stay
+  // backlogged; "both received service" is the cheapest online proxy.
   std::vector<char> shard_busy(shards_.size(), 0);
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     const EngineStats es = shard_stats(k);

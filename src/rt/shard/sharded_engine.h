@@ -17,10 +17,11 @@
 //   l_f/w_f + l_m/w_m + slack(A) + slack(B),
 //   slack(k) = (l_k^max + sum_{g in k} l_g^max) / W_k
 //
-// (units: bits per unit weight, same axis as the single-engine Theorem-1
-// monitor). Same-shard pairs keep the plain Theorem-1 bound. The root stats
-// thread validates both live: per-shard fairness gauges under each shard's
-// telemetry label, root gauges (fairness.root_gap / root_bound) at shard 0.
+// (units: bits per unit weight, the axis of stats::sfq_fairness_bound).
+// Same-shard pairs keep the plain Theorem-1 bound. The root stats thread —
+// the only live publisher; the shard engines run none of their own —
+// validates both: per-shard fairness gauges under each shard's telemetry
+// label, root gauges (fairness.root_gap / root_bound) at shard 0.
 //
 // Each shard is a complete PR-3/PR-7 engine — its own scheduler, ingress
 // rings, overload machine, and watchdog — so every robustness plane stays
@@ -75,20 +76,30 @@ struct ShardedEngineOptions {
   double link_rate = 0.0;
   // Per-shard engine template: producers/ring_capacity/buffer_limit/
   // overload/watchdog/fault_plan apply to EVERY shard (buffer_limit is
-  // per shard). telemetry_shard and the stats fields are overridden — the
-  // root owns stats publication, each shard k reports under label k.
+  // per shard). telemetry_shard is overridden: shard k reports under
+  // label k.
   EngineOptions engine;
-  // Root stats publication (requires set_telemetry): per-shard + root
-  // fairness gauges, single Prometheus/JSON endpoint, per-shard occupancy
-  // console lines. Same semantics as EngineOptions' stats fields.
+  // Live stats publication (requires set_telemetry; docs/OBSERVABILITY.md).
+  // A root stats thread wakes every `stats_interval` seconds (finite, >= 0),
+  // updates the per-shard backlog / pacing-lag / stall / Theorem-1 fairness
+  // gauges and the root gauges, snapshots the plane and publishes the
+  // Prometheus + JSON renderings. 0 disables the thread unless `stats_port`
+  // asks for the endpoint, in which case a 0.5 s default interval is used.
   double stats_interval = 0.0;
+  // Localhost HTTP exposition port: -1 (default) = no endpoint, 0 = bind an
+  // ephemeral port (stats_endpoint_port() reports it), else the literal
+  // port. GET /metrics serves Prometheus text, /metrics.json JSON.
   int stats_port = -1;
+  // Print one root console line plus one line per shard each interval
+  // (sfq_serve --stats-interval surfaces this).
   bool stats_console = false;
   // H-SFQ root rebalance: periodically redistribute R over busy
   // (backlogged) shards in proportion to W_k, so a shard with idle flows
   // does not strand its rate share. During all-busy intervals — the windows
   // the cross-shard bound covers — the allocation equals the static
   // R*W_k/W split exactly.
+  // `rebalance_interval` (seconds) must be finite and > 0 when rebalance is
+  // on with more than one shard.
   bool rebalance = true;
   double rebalance_interval = 0.002;
   // Shard-targeted rt faults: `plan` is appended to the engine template's
@@ -309,7 +320,7 @@ class ShardedEngine : public IngressTarget {
 
   // Root background threads: stats publication and H-SFQ rebalance. Both
   // share one stop latch; stats_loop does a final pass after the shard
-  // engines settled, mirroring RtEngine::stats_loop.
+  // engines settled.
   std::unique_ptr<obs::telemetry::StatsServer> stats_server_;
   std::thread stats_thread_;
   std::thread rebal_thread_;

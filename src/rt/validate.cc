@@ -21,8 +21,6 @@ std::optional<std::string> validate(const EngineOptions& opts) {
     return "EngineOptions: spin_threshold must be finite and >= 0";
   if (bad(opts.stall_timeout) || opts.stall_timeout < 0.0)
     return "EngineOptions: stall_timeout must be finite and >= 0";
-  if (bad(opts.stats_interval) || opts.stats_interval < 0.0)
-    return "EngineOptions: stats_interval must be finite and >= 0";
   if (opts.admission_control) {
     if (bad(opts.shed_exit) || bad(opts.shed_enter) || bad(opts.shed_critical))
       return "EngineOptions: shed thresholds must be finite";

@@ -672,27 +672,5 @@ TEST(RtEngine, TelemetryPlaneMirrorsTheLedger) {
             static_cast<double>(s.backlog));
 }
 
-TEST(RtEngine, StatsThreadPublishesOverHttp) {
-  namespace tel = obs::telemetry;
-  SfqScheduler sched;
-  sched.add_flow(1e6, kBits);
-  EngineOptions opts;
-  opts.stats_interval = 0.02;
-  opts.stats_port = 0;  // ephemeral
-  RtEngine engine(sched, std::make_unique<net::ConstantRate>(1e8), opts);
-  tel::Telemetry plane;
-  engine.set_telemetry(&plane);
-  engine.start();
-  ASSERT_GT(engine.stats_endpoint_port(), 0);
-  for (uint64_t i = 1; i <= 50; ++i) engine.offer_wait(0, make_packet(0, i));
-  wait_processed(engine, 50);
-  engine.stop(StopMode::kDrain);
-  // stop() runs a final publish pass; the endpoint stays live until the
-  // engine is destroyed, so a late scrape sees the settled totals.
-  const tel::TelemetrySnapshot snap = plane.snapshot();
-  EXPECT_EQ(snap.counter_total(tel::CounterId::kTransmitted), 50u);
-  EXPECT_EQ(snap.gauge(tel::GaugeId::kBacklogPackets, 0), 0.0);
-}
-
 }  // namespace
 }  // namespace sfq::rt

@@ -40,8 +40,6 @@ TEST(RtValidate, EngineOptionTable) {
       {"zero-capacity ring", [](EngineOptions& o) { o.ring_capacity = 0; }},
       {"negative spin", [](EngineOptions& o) { o.spin_threshold = -1.0; }},
       {"nan stall timeout", [](EngineOptions& o) { o.stall_timeout = kNan; }},
-      {"negative stats interval",
-       [](EngineOptions& o) { o.stats_interval = -0.5; }},
       {"shed exit above enter",
        [](EngineOptions& o) {
          o.admission_control = true;

@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <optional>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "core/scheduler_factory.h"
 #include "core/sfq_scheduler.h"
 #include "net/rate_profile.h"
+#include "obs/telemetry/telemetry.h"
 #include "rt/load_gen.h"
 #include "rt/shard/shard_router.h"
 #include "stats/fairness.h"
@@ -398,6 +401,123 @@ TEST(ShardedEngine, OneShardMatchesRtEngine) {
     }
   }
   EXPECT_EQ(dequeues, b.transmitted);
+}
+
+TEST(ShardedEngine, RejectsBadStatsAndRebalanceIntervals) {
+  // The root owns the stats and rebalance threads, so it validates their
+  // cadences: a negative or non-finite stats_interval, and (rebalance on,
+  // more than one shard) a non-finite or non-positive rebalance_interval,
+  // which would busy-spin or hand NaN to the timed wait.
+  const std::vector<ShardFlow> flows(4, ShardFlow{1e6, kBits, ""});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    double stats_interval;
+    double rebalance_interval;
+  };
+  const Case cases[] = {
+      {"negative stats interval", -1.0, 0.002},
+      {"nan stats interval", nan, 0.002},
+      {"infinite stats interval", inf, 0.002},
+      {"zero rebalance interval", 0.0, 0.0},
+      {"negative rebalance interval", 0.0, -0.5},
+      {"nan rebalance interval", 0.0, nan},
+      {"infinite rebalance interval", 0.0, inf},
+  };
+  ShardedEngineOptions base;
+  base.shards = 2;
+  base.link_rate = 1e8;
+  for (const Case& c : cases) {
+    ShardedEngineOptions o = base;
+    o.stats_interval = c.stats_interval;
+    o.rebalance_interval = c.rebalance_interval;
+    EXPECT_THROW(ShardedEngine(sfq_factory(o.link_rate), flows, o),
+                 std::invalid_argument)
+        << c.what;
+    std::string err;
+    EXPECT_EQ(ShardedEngine::try_create(sfq_factory(o.link_rate), flows, o,
+                                        &err),
+              nullptr)
+        << c.what;
+    EXPECT_FALSE(err.empty()) << c.what;
+  }
+  // The rebalance cadence is unused, so unchecked, with one shard or with
+  // rebalancing off.
+  ShardedEngineOptions one = base;
+  one.shards = 1;
+  one.rebalance_interval = 0.0;
+  EXPECT_NE(ShardedEngine::try_create(sfq_factory(1e8), flows, one), nullptr);
+  ShardedEngineOptions off = base;
+  off.rebalance = false;
+  off.rebalance_interval = nan;
+  EXPECT_NE(ShardedEngine::try_create(sfq_factory(1e8), flows, off), nullptr);
+}
+
+TEST(ShardedEngine, StatsThreadPublishesOverHttp) {
+  // The root stats thread is the only live publisher. At 1 and 2 shards, on
+  // an ephemeral port: while traffic flows it writes every shard's
+  // Theorem-1 bound gauge and the root gauges; after a drain stop its final
+  // pass leaves the settled ledger and zero backlogs in the plane.
+  namespace tel = obs::telemetry;
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::vector<ShardFlow> flows(16, ShardFlow{1e6, kBits, ""});
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.link_rate = 1e8;
+    opts.engine.producers = 1;
+    opts.stats_interval = 0.02;
+    opts.stats_port = 0;  // ephemeral
+    auto engine =
+        ShardedEngine::try_create(sfq_factory(opts.link_rate), flows, opts);
+    ASSERT_NE(engine, nullptr);
+    std::vector<std::size_t> resident(shards, 0);
+    for (FlowId f = 0; f < flows.size(); ++f) ++resident[engine->shard_of(f)];
+    for (std::size_t k = 0; k < shards; ++k)
+      ASSERT_GE(resident[k], 2u) << "shard " << k << " has no flow pair";
+    tel::TelemetryOptions topts;
+    topts.shards = shards;
+    tel::Telemetry plane(topts);
+    engine->set_telemetry(&plane);
+    engine->start();
+    ASSERT_GT(engine->stats_endpoint_port(), 0);
+
+    // Offer round-robin with at most 256 packets outstanding, until a
+    // stats pass has seen a served flow pair on every shard.
+    auto published = [&] {
+      for (std::size_t k = 0; k < shards; ++k)
+        if (!(plane.gauge(tel::GaugeId::kFairnessBound, k) > 0.0))
+          return false;
+      return plane.gauge(tel::GaugeId::kRootFairnessBound, 0) > 0.0;
+    };
+    uint64_t offered = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!published() && std::chrono::steady_clock::now() < deadline) {
+      if (offered - engine->stats().transmitted < 256) {
+        ASSERT_TRUE(engine->offer_wait(
+            0, make_packet(static_cast<FlowId>(offered % flows.size()),
+                           offered)));
+        ++offered;
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    }
+    ASSERT_TRUE(published());
+    EXPECT_GE(plane.gauge(tel::GaugeId::kRootFairnessGapMax, 0),
+              plane.gauge(tel::GaugeId::kRootFairnessGap, 0));
+    engine->stop(StopMode::kDrain);
+
+    // stop() joins the stats thread after its final pass; the endpoint
+    // stays up until the engine is destroyed.
+    const tel::TelemetrySnapshot snap = plane.snapshot();
+    EXPECT_EQ(snap.counter_total(tel::CounterId::kTransmitted), offered);
+    for (std::size_t k = 0; k < shards; ++k)
+      EXPECT_EQ(snap.gauge(tel::GaugeId::kBacklogPackets, k), 0.0)
+          << "shard " << k;
+    EXPECT_GT(engine->stats_endpoint_port(), 0);
+  }
 }
 
 TEST(ShardedEngine, ChaosDifferentialPassesThroughShardedPath) {

@@ -9,6 +9,8 @@
 
 #include "core/sfq_scheduler.h"
 #include "obs/metrics.h"
+#include "obs/telemetry/exposition.h"
+#include "obs/telemetry/telemetry.h"
 #include "obs/trace.h"
 
 namespace sfq {
@@ -175,27 +177,40 @@ TEST(JsonlSink, RoundTripsTimestampsAtFullPrecision) {
   EXPECT_NE(out.str().find("0.30000000000000004"), std::string::npos);
 }
 
-// --- Registry histogram quantiles -----------------------------------------
+// --- Registry histograms share the telemetry renderer --------------------
 
-TEST(RegistryHistogram, OverflowBucketQuantileClampsToObservedMax) {
-  // Samples beyond the last bound land in the overflow bucket, which has no
-  // finite upper edge: the quantile must clamp to max(), not interpolate an
-  // invented spread between the last bound and max().
-  obs::Histogram h({1.0, 2.0});
-  h.observe(150.0);
-  h.observe(151.0);
-  h.observe(152.0);
-  EXPECT_EQ(h.quantile(0.5), 152.0);
-  EXPECT_EQ(h.quantile(0.99), 152.0);
-  EXPECT_EQ(h.quantile(1.0), 152.0);
-  // Finite buckets still interpolate: median of uniform 0..1 samples sits
-  // inside the first bucket, not at its edge.
-  obs::Histogram g({1.0, 2.0});
-  g.observe(0.2);
-  g.observe(0.4);
-  g.observe(0.8);
-  EXPECT_GT(g.quantile(0.5), 0.2);
-  EXPECT_LT(g.quantile(0.5), 0.8);
+// The JSON object that follows `key` in `json`, up to its closing brace
+// (histogram summaries hold no nested objects).
+std::string object_after(const std::string& json, const std::string& key) {
+  const std::size_t k = json.find(key);
+  if (k == std::string::npos) return {};
+  const std::size_t open = json.find('{', k + key.size());
+  const std::size_t close = json.find('}', open);
+  if (open == std::string::npos || close == std::string::npos) return {};
+  return json.substr(open, close - open + 1);
+}
+
+TEST(RegistryHistogram, JsonObjectMatchesTelemetryRenderer) {
+  // One bucket layout, one quantile routine, one renderer: the same samples
+  // recorded into a registry histogram and a telemetry HistId render to the
+  // same JSON summary object, byte for byte.
+  namespace tel = obs::telemetry;
+  obs::MetricsRegistry reg;
+  tel::Telemetry plane;
+  for (double s : {3e-9, 40e-9, 2.5e-6, 180e-6, 1.2e-3, 1.25e-3, 0.4, 7.0}) {
+    reg.histogram("flow.voice.delay").record_seconds(s);
+    plane.hist(tel::HistId::kQueueDelay, 0).record_seconds(s);
+  }
+  const std::string from_reg =
+      object_after(reg.json(), "\"flow.voice.delay\":");
+  const std::string from_plane = object_after(
+      tel::to_json(plane.snapshot()),
+      std::string("\"") + tel::name(tel::HistId::kQueueDelay) + "\":[");
+  ASSERT_FALSE(from_reg.empty());
+  EXPECT_EQ(from_reg, from_plane);
+  EXPECT_NE(from_reg.find("\"count\":8,"), std::string::npos) << from_reg;
+  for (const char* key : {"\"p50_s\":", "\"p99_s\":", "\"max_s\":"})
+    EXPECT_NE(from_reg.find(key), std::string::npos) << key;
 }
 
 // --- MetricsSink drop taxonomy ---------------------------------------------
