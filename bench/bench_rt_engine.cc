@@ -114,9 +114,9 @@ ThroughputResult throughput(const std::string& name, bool admission = false,
 
 // Part 3 — admission-control overhead: the overload machine armed behind a
 // buffer cap so large (1M packets vs a near-instant link) that occupancy
-// never approaches shed_enter. The enabled-but-untriggered hot path adds one
-// occupancy check per dispatcher batch and nothing per packet, so it must
-// stay within 5% of the identical run with admission off. A/B pairs run
+// never approaches the shedding threshold. The enabled-but-untriggered hot
+// path adds one occupancy check per dispatcher batch and nothing per packet,
+// so it must stay within 5% of the identical run with admission off. A/B pairs run
 // interleaved (base, shed, base, shed, ...) and each arm keeps its best run,
 // which cancels machine-wide drift the way back-to-back medians cannot.
 struct AdmissionAbResult {

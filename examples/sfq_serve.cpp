@@ -342,7 +342,6 @@ int main(int argc, char** argv) {
   sopts.engine.fault_plan = args.fault_plan;
   sopts.stats_interval = args.stats_interval;
   sopts.stats_port = args.stats_port;
-  sopts.stats_console = args.stats_interval > 0.0;
   sopts.failover.enabled = args.failover;
   for (const Args::KillFault& k : args.fault_kills) {
     rt::RtFaultPlan kp;

@@ -2,7 +2,8 @@
 # Full pre-merge gate: warning-clean Release build, the whole test suite, and
 # a traced example run whose JSONL output must parse and whose invariants
 # must hold (docs/OBSERVABILITY.md). A fault-injection run (outage + loss +
-# churn + pushout; docs/ROBUSTNESS.md) must also keep the invariants clean.
+# churn + pushout; docs/ROBUSTNESS.md) must also keep the invariants clean,
+# and the end-to-end benchmark (perfbench/) must pass its selftest and build.
 # Set SANITIZE=1 to additionally run the ASan+UBSan sweep (scripts/sanitize.sh)
 # and TSAN=1 for the ThreadSanitizer sweep of src/rt/ (scripts/tsan.sh).
 # Set PERF=1 for the perf-regression gate (docs/PERFORMANCE.md): the three
@@ -16,6 +17,13 @@ BUILD=${BUILD_DIR:-build-check}
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release -DSFQ_WERROR=ON
 cmake --build "$BUILD" -j"$(nproc)"
 ctest --test-dir "$BUILD" -j"$(nproc)" --output-on-failure
+
+# perfbench (perfbench/README.md) fills in the rt option structs, so a src/
+# API change can break it: run its selftest and build the benchmark binary,
+# both under $BUILD/perfbench.
+CARGO_TARGET_DIR="$BUILD" python3 perfbench/run.py --selftest
+cmake --build "$BUILD/perfbench" --target sfq_perfbench -j"$(nproc)"
+echo "perfbench selftest and build OK"
 
 # Traced run: every event line must be valid JSON, zero invariant violations
 # (non-zero exit from --check), and the metrics dump must be valid JSON.

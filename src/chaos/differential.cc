@@ -337,7 +337,6 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
     sopts.shard_faults.push_back({kill.shard, kill.plan});
     sopts.failover.enabled = true;
     sopts.failover.poll_interval = 0.0005;
-    sopts.failover.shard_restart_budget = 1;
     sopts.failover.restart_backoff = 0.002;
   }
   auto factory = [&](std::size_t, double share) {
@@ -508,11 +507,52 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
       return res;
   }
 
-  // Hierarchical root bound over the sampled middle windows: for every pair
-  // of flows that both received service in a window whose home shards stayed
-  // busy through it, the normalized-service gap must stay within
-  // fairness_bound(f, m) plus one packet quantum per flow (window-edge
-  // granularity, same slack the bench's wall-clock fairness check uses).
+  // Per-shard single-threaded replay: rebuild shard k's scheduler exactly
+  // as the live factory did (same options, same ascending-global-id flow
+  // registration) and apply its captured op sequence. It runs before the
+  // root-fairness check, so a seed that breaks the drain-window bound still
+  // gets a bit-exact replay verdict.
+  double total_weight = 0.0;
+  for (std::size_t k = 0; k < shards; ++k)
+    total_weight += engine->shard_weight(k);
+  for (std::size_t k = 0; k < shards && res.ok; ++k) {
+    const double share =
+        engine->shard_weight(k) > 0.0
+            ? engine->shard_weight(k) / total_weight
+            : 1.0 / static_cast<double>(shards);
+    std::unique_ptr<Scheduler> replay_owned;
+    try {
+      replay_owned = factory(k, share);
+      // Unified registration, exactly as the live engine built the shard:
+      // every flow in ascending global-id order, non-home flows deactivated.
+      // Residency changes after that are IN the transcript (kRemove /
+      // kRejoin ops), so the replay tracks migrations by construction.
+      for (FlowId f = 0; f < spec.flows.size(); ++f) {
+        replay_owned->add_flow(spec.flows[f].weight, spec.flows[f].packet,
+                               spec.flows[f].name);
+        if (engine->home_shard_of(f) != k) replay_owned->remove_flow(f, 0.0);
+      }
+    } catch (const std::exception& e) {
+      res.fail("error", std::string("shard replay build threw: ") + e.what());
+      return res;
+    }
+    Scheduler& replay = *replay_owned;
+    const CheckResult r =
+        replay_transcript(replay, ops[k], " on shard " + std::to_string(k));
+    if (!r.ok) return r;
+    if (!replay.empty() != !engine->scheduler(k).empty())
+      res.fail("rt-divergence",
+               "shard " + std::to_string(k) +
+                   " replay backlog disagrees with the live scheduler after " +
+                   std::to_string(ops[k].size()) + " ops");
+  }
+
+  // Hierarchical root bound over the sampled middle windows, once every
+  // shard replayed clean: for every pair of flows that both received service
+  // in a window whose home shards stayed busy through it, the
+  // normalized-service gap must stay within fairness_bound(f, m) plus one
+  // packet quantum per flow (window-edge granularity, same slack the bench's
+  // wall-clock fairness check uses).
   if (samples.size() >= 4) {
     for (std::size_t w = 1; w + 2 < samples.size() && res.ok; ++w) {
       const Sample& s0 = samples[w];
@@ -547,45 +587,6 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
         }
       }
     }
-    if (!res.ok) return res;
-  }
-
-  // Per-shard single-threaded replay: rebuild shard k's scheduler exactly
-  // as the live factory did (same options, same ascending-global-id flow
-  // registration) and apply its captured op sequence.
-  double total_weight = 0.0;
-  for (std::size_t k = 0; k < shards; ++k)
-    total_weight += engine->shard_weight(k);
-  for (std::size_t k = 0; k < shards && res.ok; ++k) {
-    const double share =
-        engine->shard_weight(k) > 0.0
-            ? engine->shard_weight(k) / total_weight
-            : 1.0 / static_cast<double>(shards);
-    std::unique_ptr<Scheduler> replay_owned;
-    try {
-      replay_owned = factory(k, share);
-      // Unified registration, exactly as the live engine built the shard:
-      // every flow in ascending global-id order, non-home flows deactivated.
-      // Residency changes after that are IN the transcript (kRemove /
-      // kRejoin ops), so the replay tracks migrations by construction.
-      for (FlowId f = 0; f < spec.flows.size(); ++f) {
-        replay_owned->add_flow(spec.flows[f].weight, spec.flows[f].packet,
-                               spec.flows[f].name);
-        if (engine->home_shard_of(f) != k) replay_owned->remove_flow(f, 0.0);
-      }
-    } catch (const std::exception& e) {
-      res.fail("error", std::string("shard replay build threw: ") + e.what());
-      return res;
-    }
-    Scheduler& replay = *replay_owned;
-    const CheckResult r =
-        replay_transcript(replay, ops[k], " on shard " + std::to_string(k));
-    if (!r.ok) return r;
-    if (!replay.empty() != !engine->scheduler(k).empty())
-      res.fail("rt-divergence",
-               "shard " + std::to_string(k) +
-                   " replay backlog disagrees with the live scheduler after " +
-                   std::to_string(ops[k].size()) + " ops");
   }
   return res;
 }

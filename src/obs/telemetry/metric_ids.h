@@ -78,7 +78,7 @@ enum class HistId : uint16_t {
   kQueueDelay = 0,  // enqueue (producer stamp) -> transmit complete
   kIngressDwell,    // producer stamp -> dispatcher inject
   kServiceLag,      // completion lateness vs the pacing deadline
-  kStageDrain,      // profiling scopes (off by default; profile.h)
+  kStageDrain,      // per-stage cost; no writer yet (pinned by the goldens)
   kStageSchedule,
   kStageTransmit,
   kStageSimEvent,

@@ -33,6 +33,24 @@ constexpr int kServiceBatch = 64;
 constexpr int kIdleYields = 16;
 constexpr auto kIdleSleep = std::chrono::microseconds(50);
 
+// Waits shorter than this are spun, longer ones sleep (seconds). Sleeping
+// keeps CPU available for producers on small machines; spinning keeps
+// pacing accurate near a transmission-complete deadline.
+constexpr double kSpinThreshold = 200e-6;
+
+// Overload machine (docs/ROBUSTNESS.md), on scheduler occupancy
+// backlog / buffer_limit with hysteresis: Normal -> Shedding at kShedEnter,
+// Shedding -> Normal at kShedExit, Shedding -> Critical at kShedCritical.
+constexpr double kShedEnter = 0.85;
+constexpr double kShedExit = 0.50;
+constexpr double kShedCritical = 0.97;
+// Critical multiplies the admitted rate by this factor (< 1) to force the
+// backlog down; Shedding admits at the full measured service rate.
+constexpr double kShedCriticalFactor = 0.7;
+// Token-bucket depth, in units of the flow's max packet size (the burst a
+// freshly refilled flow may admit back-to-back while shedding).
+constexpr double kShedBurst = 4.0;
+
 // Token-bucket depth fallback for flows registered without a max packet
 // size: one MTU-ish packet (1500 bytes) as the burst unit.
 constexpr double kShedDefaultPacketBits = 12000.0;
@@ -52,6 +70,13 @@ template <typename T>
 void add_single_writer(std::atomic<T>& a, T by,
                        std::memory_order order = std::memory_order_relaxed) {
   a.store(a.load(std::memory_order_relaxed) + by, order);
+}
+
+// Throws on malformed options before any member they size (the ingress
+// rings) is built.
+EngineOptions validated(EngineOptions opts) {
+  if (auto err = validate(opts)) throw std::invalid_argument(*err);
+  return opts;
 }
 
 }  // namespace
@@ -83,11 +108,10 @@ RtEngine::RtEngine(Scheduler& sched, std::unique_ptr<net::RateProfile> profile,
                    EngineOptions opts)
     : sched_(sched),
       profile_(std::move(profile)),
-      opts_(opts),
-      ingress_(opts.producers, opts.ring_capacity),
-      disp_cells_(std::make_shared<tel::CounterCells>(opts.telemetry_shard)) {
+      opts_(validated(std::move(opts))),
+      ingress_(opts_.producers, opts_.ring_capacity),
+      disp_cells_(std::make_shared<tel::CounterCells>(opts_.telemetry_shard)) {
   if (!profile_) throw std::invalid_argument("RtEngine: null rate profile");
-  if (auto err = validate(opts_)) throw std::invalid_argument(*err);
   clock_.set_plan(opts_.fault_plan);
   prod_cells_.reserve(ingress_.producers());
   for (std::size_t i = 0; i < ingress_.producers(); ++i)
@@ -125,7 +149,6 @@ void RtEngine::set_telemetry(tel::Telemetry* plane) {
     throw std::logic_error("RtEngine: set_telemetry while running");
   tele_ = plane;
   tele_on_ = plane != nullptr;
-  profiler_.reset();
   h_dwell_ = h_qdelay_ = h_lag_ = nullptr;
   if (tele_ == nullptr) return;
   tele_->attach(disp_cells_);
@@ -134,8 +157,6 @@ void RtEngine::set_telemetry(tel::Telemetry* plane) {
   h_dwell_ = &tele_->hist(tel::HistId::kIngressDwell, shard);
   h_qdelay_ = &tele_->hist(tel::HistId::kQueueDelay, shard);
   h_lag_ = &tele_->hist(tel::HistId::kServiceLag, shard);
-  profiler_ = std::make_unique<tel::StageProfiler>(*tele_, shard);
-  profiler_->enable(opts_.profiling);
 }
 
 bool RtEngine::offer(std::size_t i, Packet p) {
@@ -201,7 +222,7 @@ void RtEngine::start() {
     for (FlowId f = 0; f < n; ++f) {
       const double lmax = sched_.flows().spec(f).max_packet_bits;
       ov_cap_[f] =
-          opts_.shed_burst * (lmax > 0.0 ? lmax : kShedDefaultPacketBits);
+          kShedBurst * (lmax > 0.0 ? lmax : kShedDefaultPacketBits);
       ov_tokens_[f] = ov_cap_[f];
     }
     // Shares cover the *active* flow set: a sharded deployment registers
@@ -320,7 +341,6 @@ void RtEngine::run() {
     //    go back to the producers once, at the end of the batch.
     int drained = 0;
     if (!abandon) {
-      SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageDrain);
       Time now = -std::numeric_limits<double>::infinity();  // not read yet
       std::size_t ring = 0;
       while (drained < kDrainBatch) {
@@ -356,20 +376,13 @@ void RtEngine::run() {
           if (now < link_.deadline) break;  // deadline in the future
         }
         link_.busy = false;
-        {
-          SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageTransmit);
-          complete(link_.packet, now, link_.deadline);
-        }
+        complete(link_.packet, now, link_.deadline);
         served_bits += static_cast<uint64_t>(link_.packet.length_bits);
         progressed = true;
         ++served;
       }
       if (abandon) break;
-      std::optional<Packet> next;
-      {
-        SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageSchedule);
-        next = sched_.dequeue(now);
-      }
+      const std::optional<Packet> next = sched_.dequeue(now);
       if (!next) {
         // Nothing queued and nothing in flight: the link is genuinely idle,
         // so the pacing chain's continuity ends here — the next packet
@@ -435,10 +448,10 @@ void RtEngine::run() {
       }
       const Time wait = link_.deadline - clock_.now();
       if (wait <= 0.0) continue;
-      if (wait > opts_.spin_threshold) {
+      if (wait > kSpinThreshold) {
         // Sleep most of the wait, capped so rings are still drained at a
         // bounded interval while a long transmission is in flight.
-        const double nap = std::min(wait - opts_.spin_threshold, 1e-3);
+        const double nap = std::min(wait - kSpinThreshold, 1e-3);
         std::this_thread::sleep_for(std::chrono::duration<double>(nap));
       } else {
         std::this_thread::yield();
@@ -459,9 +472,7 @@ bool RtEngine::watchdog_stall(Time now, Time raw_now) {
   // Diagnose: which stage owns the wedge. A pending transmission whose
   // deadline never arrives is a transmit wedge; a backlogged scheduler that
   // yields nothing is a schedule wedge; otherwise the ingress/drain side
-  // holds obligations the loop cannot see. (The stage profiles from
-  // SFQ_TELEMETRY_PROFILING builds give the fine-grained view; this
-  // structural diagnosis is always available.)
+  // holds obligations the loop cannot see.
   StallStage stage = StallStage::kDrain;
   if (link_.busy)
     stage = StallStage::kTransmit;
@@ -511,19 +522,19 @@ void RtEngine::overload_tick(Time now) {
                      static_cast<double>(opts_.buffer_limit);
   switch (ov_state_.load(std::memory_order_relaxed)) {
     case 0:
-      if (occ >= opts_.shed_enter) set_overload_state(1, now);
+      if (occ >= kShedEnter) set_overload_state(1, now);
       break;
     case 1:
-      if (occ >= opts_.shed_critical)
+      if (occ >= kShedCritical)
         set_overload_state(2, now);
-      else if (occ <= opts_.shed_exit)
+      else if (occ <= kShedExit)
         set_overload_state(0, now);
       break;
     case 2:
       // Hysteresis: Critical relaxes to Shedding below the *enter* mark, and
       // only Shedding can return to Normal (at the exit mark) — residual
       // capacity re-opens gradually, not with a thundering herd.
-      if (occ < opts_.shed_enter) set_overload_state(1, now);
+      if (occ < kShedEnter) set_overload_state(1, now);
       break;
   }
 }
@@ -549,7 +560,7 @@ bool RtEngine::shed_admits(const Packet& p, Time now) {
   // flows) have no weight share; the gate waves them through.
   if (p.flow >= ov_tokens_.size()) return true;
   const double factor = ov_state_.load(std::memory_order_relaxed) == 2
-                            ? opts_.shed_critical_factor
+                            ? kShedCriticalFactor
                             : 1.0;
   // Lazy refill: flow f earns its weighted-fair share of the measured
   // service rate. Admission only requires a non-negative balance, so one

@@ -13,7 +13,6 @@
 #include "core/scheduler.h"
 #include "net/rate_profile.h"
 #include "net/scheduled_server.h"  // OverloadPolicy
-#include "obs/telemetry/profile.h"
 #include "obs/telemetry/telemetry.h"
 #include "obs/trace.h"
 #include "rt/clock.h"
@@ -25,17 +24,14 @@ namespace sfq::rt {
 
 struct EngineOptions {
   std::size_t producers = 1;
-  // Per-producer SPSC ring capacity (rounded up to a power of two).
+  // Per-producer SPSC ring capacity (rounded up to a power of two), at most
+  // 2^24 slots (kMaxRingCapacity in rt/validate.cc).
   std::size_t ring_capacity = 1 << 14;
   // Cap on scheduler backlog (excluding the packet in transmission);
   // 0 = infinite. Overflow resolves via `overload_policy` into the same
   // per-cause drop taxonomy as the simulated server.
   std::size_t buffer_limit = 0;
   net::OverloadPolicy overload_policy = net::OverloadPolicy::kTailDrop;
-  // Waits shorter than this are spun, longer ones sleep (seconds). Sleeping
-  // keeps CPU available for producers on small machines; spinning keeps
-  // pacing accurate near a transmission-complete deadline.
-  double spin_threshold = 200e-6;
   // Stall watchdog: if the engine has obligations (a transmission in flight
   // or scheduler backlog) but makes no service progress (no transmission
   // started or completed) for this many wall-clock seconds, it counts a
@@ -56,27 +52,15 @@ struct EngineOptions {
   // arrivals through per-flow token buckets refilled in proportion to flow
   // weight from the measured service rate. Drops distribute weighted-fair
   // (cause kShed), so the Theorem-1 gap over *admitted* traffic stays
-  // bounded while the engine is pushed past capacity.
+  // bounded while the engine is pushed past capacity. The thresholds, the
+  // Critical rate factor and the bucket depth are constants in engine.cc.
   bool admission_control = false;
-  double shed_enter = 0.85;     // occupancy: Normal -> Shedding
-  double shed_exit = 0.50;      // occupancy: Shedding -> Normal
-  double shed_critical = 0.97;  // occupancy: Shedding -> Critical
-  // Critical multiplies the admitted rate by this factor (< 1) to force the
-  // backlog down; Shedding admits at the full measured service rate.
-  double shed_critical_factor = 0.7;
-  // Token-bucket depth, in units of the flow's max packet size (burst a
-  // freshly refilled flow may admit back-to-back while shedding).
-  double shed_burst = 4.0;
   // rt-layer fault plan (clock jumps/skew, scripted dispatcher pauses);
   // empty by default. Chaos wires generated plans through this.
   RtFaultPlan fault_plan;
   // Shard label this engine's telemetry cells, gauges and histograms carry:
   // 0 for a lone engine; ShardedEngine gives shard k's engine label k.
   std::size_t telemetry_shard = 0;
-  // Runtime switch for the stage-profiling scopes around drain / schedule /
-  // transmit. Only effective in builds with SFQ_TELEMETRY_PROFILING; the
-  // default build compiles the scopes out entirely (obs/telemetry/profile.h).
-  bool profiling = false;
 };
 
 // One scheduler-touching operation the dispatcher performed, in order. With
@@ -374,7 +358,6 @@ class RtEngine : public IngressTarget {
   // engine's own cells (ledger below).
   obs::telemetry::Telemetry* tele_ = nullptr;
   bool tele_on_ = false;
-  std::unique_ptr<obs::telemetry::StageProfiler> profiler_;
   // Dispatcher-owned latency histograms, resolved once at set_telemetry():
   // single-writer recording (relaxed load+store, no locked RMW) keeps the
   // per-packet cost inside the <=5% bench_telemetry_overhead budget. The
@@ -461,7 +444,7 @@ class RtEngine : public IngressTarget {
   bool ov_on_ = false;
   std::atomic<int> ov_state_{0};  // 0 Normal, 1 Shedding, 2 Critical
   std::vector<double> ov_share_;  // weight_f / sum(weights)
-  std::vector<double> ov_cap_;    // bucket depth, bits (shed_burst * l_max)
+  std::vector<double> ov_cap_;    // bucket depth, bits (kShedBurst * l_max)
   std::vector<double> ov_tokens_;
   std::vector<Time> ov_refill_;   // per-flow last lazy-refill instant
   // Measured service rate (bits/s), EWMA over ~50 ms windows, seeded from

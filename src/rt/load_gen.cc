@@ -15,6 +15,17 @@ namespace sfq::rt {
 
 namespace {
 
+// Sim-time slice generated ahead of the replay.
+constexpr Time kSlice = 0.01;
+
+// Retry backoff (LoadGenOptions::max_retries / offer_deadline): the first
+// wait, its growth cap, the growth per retry, and the jitter j that scales
+// each wait by uniform[1-j, 1+j].
+constexpr Time kBackoffInitial = 20e-6;
+constexpr Time kBackoffMax = 2e-3;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.5;
+
 struct TimedPacket {
   Time t = 0.0;  // model time of the arrival
   Packet p;
@@ -163,8 +174,8 @@ void LoadGen::produce(std::size_t i, Time duration) {
                           (opts_.max_retries > 0 || opts_.offer_deadline > 0.0);
   std::minstd_rand jitter_rng(
       static_cast<uint32_t>(0x9e3779b9u ^ (i * 2654435761u)) | 1u);
-  std::uniform_real_distribution<double> jitter(1.0 - opts_.backoff_jitter,
-                                                1.0 + opts_.backoff_jitter);
+  std::uniform_real_distribution<double> jitter(1.0 - kBackoffJitter,
+                                                1.0 + kBackoffJitter);
   const Time t0 = engine_.now();  // replay epoch: model t maps to t0 + t
   Time horizon = 0.0;
   bool engine_closed = false;
@@ -173,7 +184,7 @@ void LoadGen::produce(std::size_t i, Time duration) {
     if (stop_requested_.load(std::memory_order_relaxed)) break;
     if (slice_buf.empty()) {
       if (horizon >= duration) break;  // sources emit strictly before duration
-      horizon = std::min(horizon + opts_.slice, duration);
+      horizon = std::min(horizon + kSlice, duration);
       sim.run_until(horizon);
       continue;
     }
@@ -195,7 +206,7 @@ void LoadGen::produce(std::size_t i, Time duration) {
         // Backpressure: retry until accepted, closed, out of retries, or
         // past the freshness deadline.
         const Time first_try = engine_.now();
-        Time backoff = opts_.backoff_initial;
+        Time backoff = kBackoffInitial;
         std::size_t tries = 0;
         bool resolved = false;
         for (;;) {
@@ -208,8 +219,7 @@ void LoadGen::produce(std::size_t i, Time duration) {
           engine_.note_offer_retry(i);
           std::this_thread::sleep_for(
               std::chrono::duration<double>(backoff * jitter(jitter_rng)));
-          backoff = std::min(backoff * opts_.backoff_multiplier,
-                             opts_.backoff_max);
+          backoff = std::min(backoff * kBackoffMultiplier, kBackoffMax);
           st = engine_.try_offer(i, tp.p);
           if (st == OfferStatus::kAccepted) {
             ++local.pushed;

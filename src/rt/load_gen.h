@@ -42,22 +42,18 @@ struct LoadGenOptions {
   // must account every packet set this; paced runs normally leave it off so
   // backpressure surfaces as counted ingress drops, not as generator stall.
   bool block_on_full = false;
-  // Sim-time slice generated ahead of the replay.
-  Time slice = 0.01;
 
   // Bounded-retry backpressure handling (docs/ROBUSTNESS.md). Active when
   // block_on_full is false and max_retries > 0 or offer_deadline > 0: a full
   // ring (RtEngine::try_offer -> kBackpressure) is retried with exponential
-  // backoff and multiplicative jitter instead of dropped. max_retries == 0
-  // with a deadline means "retry until the deadline". A packet that exhausts
-  // its retries or deadline is given up — counted `abandoned` on both the
-  // producer stats and the engine ledger (note_offer_abandoned), keeping
-  // attempts == pushed + dropped + abandoned exact.
+  // backoff and multiplicative jitter instead of dropped (20 us doubling to
+  // a 2 ms cap, each wait scaled by uniform[0.5, 1.5]; constants in
+  // load_gen.cc). max_retries == 0 with a deadline means "retry until the
+  // deadline". A packet that exhausts its retries or deadline is given up —
+  // counted `abandoned` on both the producer stats and the engine ledger
+  // (note_offer_abandoned), keeping attempts == pushed + dropped + abandoned
+  // exact.
   std::size_t max_retries = 0;
-  Time backoff_initial = 20e-6;    // first retry wait (seconds)
-  Time backoff_max = 2e-3;         // backoff growth cap
-  double backoff_multiplier = 2.0; // exponential growth per retry
-  double backoff_jitter = 0.5;     // wait *= uniform[1-j, 1+j]
   // Per-packet freshness deadline measured from the first offer attempt;
   // 0 disables. A stale packet is abandoned, not delivered late.
   Time offer_deadline = 0.0;

@@ -12,6 +12,11 @@ namespace sfq::rt {
 namespace tel = obs::telemetry;
 
 namespace {
+
+// Cold restarts allowed per shard (a fresh engine epoch over the same
+// scheduler); once spent, a dead shard's flows stay rehomed on survivors.
+constexpr uint32_t kShardRestartBudget = 1;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -20,6 +25,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 ShardSupervisor::ShardSupervisor(ShardedEngine& owner, FailoverOptions opts)
     : owner_(owner), opts_(opts) {}
+
+std::size_t ShardSupervisor::max_epochs() { return 1 + kShardRestartBudget; }
 
 ShardSupervisor::~ShardSupervisor() { stop(); }
 
@@ -128,7 +135,7 @@ void ShardSupervisor::handle_death(std::size_t k) {
 
   // RESTART: a fresh engine epoch over the same scheduler, under the
   // shard-level budget, after an interruptible backoff.
-  if (restarts_used_[k] < opts_.shard_restart_budget) {
+  if (restarts_used_[k] < kShardRestartBudget) {
     ++restarts_used_[k];
     {
       std::unique_lock<std::mutex> lock(mu_);

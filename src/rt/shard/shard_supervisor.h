@@ -57,9 +57,6 @@ struct FailoverOptions {
   bool enabled = false;
   // Supervisor liveness poll cadence (seconds).
   double poll_interval = 0.002;
-  // Cold restarts allowed per shard (a fresh engine epoch over the same
-  // scheduler). 0 = never restart; flows stay rehomed on survivors.
-  uint32_t shard_restart_budget = 1;
   // Wait between fencing a shard and attempting its cold restart (seconds);
   // gives whatever killed it (a scripted fault, a scheduling storm) room to
   // pass before the new epoch starts.
@@ -90,6 +87,10 @@ class ShardSupervisor {
 
   void start();
   void stop();  // idempotent; joins the monitor thread
+
+  // Engine epochs one shard can run through: the first, plus the cold
+  // restarts its shard-level restart budget allows (one).
+  static std::size_t max_epochs();
 
   // Completed failovers (fence -> rehome settled).
   uint64_t failovers() const {

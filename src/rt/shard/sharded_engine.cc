@@ -44,6 +44,10 @@ class AtomicRate final : public net::RateProfile {
 
 bool bad(double v) { return !std::isfinite(v); }
 
+// H-SFQ root rebalance cadence (seconds): how often rebalance_loop
+// redistributes the link over busy shards.
+constexpr double kRebalanceInterval = 0.002;
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
@@ -75,10 +79,9 @@ ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
   if (bad(opts_.stats_interval) || opts_.stats_interval < 0.0)
     throw std::invalid_argument(
         "ShardedEngine: stats_interval must be finite and >= 0");
-  if (opts_.rebalance && opts_.shards > 1 &&
-      (bad(opts_.rebalance_interval) || opts_.rebalance_interval <= 0.0))
+  if (opts_.stats_port < -1 || opts_.stats_port > 65535)
     throw std::invalid_argument(
-        "ShardedEngine: rebalance_interval must be finite and > 0");
+        "ShardedEngine: stats_port must be in [-1, 65535]");
 
   // Pass 1: route every global flow and accumulate per-shard weight sums —
   // the H-SFQ root weights W_k that fix each shard's rate share.
@@ -160,7 +163,7 @@ ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
   // whole run (one slot per allowed cold restart) so a supervisor push_back
   // never reallocates under a concurrent stats()/flow_tx_bits() reader.
   const std::size_t max_epochs =
-      1 + (opts_.failover.enabled ? opts_.failover.shard_restart_budget : 0);
+      opts_.failover.enabled ? ShardSupervisor::max_epochs() : 1;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Shard& s = *shards_[k];
     s.epochs.reserve(max_epochs);
@@ -310,7 +313,7 @@ void ShardedEngine::start() {
     bg_stop_ = false;
     stats_thread_ = std::thread([this] { stats_loop(); });
   }
-  if (opts_.rebalance && shards_.size() > 1)
+  if (shards_.size() > 1)
     rebal_thread_ = std::thread([this] { rebalance_loop(); });
 }
 
@@ -520,7 +523,7 @@ void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
   const tel::TelemetrySnapshot snap = tele_->snapshot();
   if (stats_server_)
     stats_server_->publish(tel::to_prometheus(snap), tel::to_json(snap));
-  if (opts_.stats_console) {
+  if (opts_.stats_interval > 0.0) {
     const EngineStats total = stats();
     std::fprintf(stderr,
                  "[sfq stats] shards=%zu tx=%llu drops=%llu backlog=%llu "
@@ -567,8 +570,7 @@ void ShardedEngine::rebalance_loop() {
                                                // allocation guard is armed
   std::unique_lock<std::mutex> lock(bg_mu_);
   while (!bg_stop_) {
-    bg_cv_.wait_for(lock,
-                    std::chrono::duration<double>(opts_.rebalance_interval),
+    bg_cv_.wait_for(lock, std::chrono::duration<double>(kRebalanceInterval),
                     [this] { return bg_stop_; });
     if (bg_stop_) break;
     lock.unlock();

@@ -27,8 +27,9 @@
 // rings, overload machine, and watchdog — so every robustness plane stays
 // lock-free and shard-local; the only cross-shard coupling is the routing
 // table (versioned: immutable except for supervisor failover remaps), the
-// optional root rebalance thread, which redistributes R over busy shards
-// through per-shard atomic rates, and the shard supervisor
+// root rebalance thread (more than one shard), which every 2 ms
+// redistributes R over busy shards through per-shard atomic rates, and the
+// shard supervisor
 // (rt/shard/shard_supervisor.h), which fences dead shards, rehomes their
 // flows onto survivors and cold-restarts them as fresh engine epochs.
 //
@@ -82,26 +83,16 @@ struct ShardedEngineOptions {
   // Live stats publication (requires set_telemetry; docs/OBSERVABILITY.md).
   // A root stats thread wakes every `stats_interval` seconds (finite, >= 0),
   // updates the per-shard backlog / pacing-lag / stall / Theorem-1 fairness
-  // gauges and the root gauges, snapshots the plane and publishes the
-  // Prometheus + JSON renderings. 0 disables the thread unless `stats_port`
-  // asks for the endpoint, in which case a 0.5 s default interval is used.
+  // gauges and the root gauges, snapshots the plane, publishes the
+  // Prometheus + JSON renderings and prints one root console line plus one
+  // line per shard. 0 disables the thread unless `stats_port` asks for the
+  // endpoint, in which case it publishes every 0.5 s without printing.
   double stats_interval = 0.0;
-  // Localhost HTTP exposition port: -1 (default) = no endpoint, 0 = bind an
-  // ephemeral port (stats_endpoint_port() reports it), else the literal
-  // port. GET /metrics serves Prometheus text, /metrics.json JSON.
+  // Localhost HTTP exposition port, in [-1, 65535]: -1 (default) = no
+  // endpoint, 0 = bind an ephemeral port (stats_endpoint_port() reports
+  // it), else the literal port. GET /metrics serves Prometheus text,
+  // /metrics.json JSON.
   int stats_port = -1;
-  // Print one root console line plus one line per shard each interval
-  // (sfq_serve --stats-interval surfaces this).
-  bool stats_console = false;
-  // H-SFQ root rebalance: periodically redistribute R over busy
-  // (backlogged) shards in proportion to W_k, so a shard with idle flows
-  // does not strand its rate share. During all-busy intervals — the windows
-  // the cross-shard bound covers — the allocation equals the static
-  // R*W_k/W split exactly.
-  // `rebalance_interval` (seconds) must be finite and > 0 when rebalance is
-  // on with more than one shard.
-  bool rebalance = true;
-  double rebalance_interval = 0.002;
   // Shard-targeted rt faults: `plan` is appended to the engine template's
   // fault_plan for shard `shard` only (chaos shard-kill scenarios and
   // sfq_serve --fault-kill AT,SHARD ride through this).

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -36,8 +38,12 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 template <typename T>
 class SpscRing {
  public:
-  // Capacity is rounded up to a power of two (minimum 2).
+  // Capacity is rounded up to a power of two (minimum 2). Throws
+  // std::length_error when no power of two in std::size_t is large enough.
   explicit SpscRing(std::size_t min_capacity) {
+    if (min_capacity > std::numeric_limits<std::size_t>::max() / 2 + 1)
+      throw std::length_error(
+          "SpscRing: capacity has no power of two in std::size_t");
     std::size_t cap = 2;
     while (cap < min_capacity) cap <<= 1;
     slots_.resize(cap);

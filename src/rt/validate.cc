@@ -11,29 +11,19 @@ namespace {
 
 bool bad(double v) { return !std::isfinite(v); }
 
+// Largest per-producer ring: 2^24 slots, 640 MiB of 40-byte ingress slots
+// per producer. Far beyond any useful backlog, and far below the 2^63 at
+// which rounding the capacity up to a power of two overflows.
+constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 24;
+
 }  // namespace
 
 std::optional<std::string> validate(const EngineOptions& opts) {
   if (opts.producers == 0) return "EngineOptions: producers must be > 0";
-  if (opts.ring_capacity == 0)
-    return "EngineOptions: ring_capacity must be > 0";
-  if (bad(opts.spin_threshold) || opts.spin_threshold < 0.0)
-    return "EngineOptions: spin_threshold must be finite and >= 0";
+  if (opts.ring_capacity == 0 || opts.ring_capacity > kMaxRingCapacity)
+    return "EngineOptions: ring_capacity must be in [1, 2^24]";
   if (bad(opts.stall_timeout) || opts.stall_timeout < 0.0)
     return "EngineOptions: stall_timeout must be finite and >= 0";
-  if (opts.admission_control) {
-    if (bad(opts.shed_exit) || bad(opts.shed_enter) || bad(opts.shed_critical))
-      return "EngineOptions: shed thresholds must be finite";
-    if (!(opts.shed_exit > 0.0 && opts.shed_exit < opts.shed_enter &&
-          opts.shed_enter <= opts.shed_critical && opts.shed_critical <= 1.0))
-      return "EngineOptions: shed thresholds must satisfy "
-             "0 < shed_exit < shed_enter <= shed_critical <= 1";
-    if (bad(opts.shed_critical_factor) || opts.shed_critical_factor <= 0.0 ||
-        opts.shed_critical_factor > 1.0)
-      return "EngineOptions: shed_critical_factor must be in (0, 1]";
-    if (bad(opts.shed_burst) || opts.shed_burst <= 0.0)
-      return "EngineOptions: shed_burst must be > 0";
-  }
   for (const auto& j : opts.fault_plan.jumps)
     if (bad(j.at) || bad(j.delta) || j.at < 0.0)
       return "EngineOptions: fault jump must have finite delta and at >= 0";
@@ -54,17 +44,6 @@ std::optional<std::string> validate(const EngineOptions& opts) {
 }
 
 std::optional<std::string> validate(const LoadGenOptions& opts) {
-  if (bad(opts.slice) || opts.slice <= 0.0)
-    return "LoadGenOptions: slice must be finite and > 0";
-  if (bad(opts.backoff_initial) || opts.backoff_initial <= 0.0)
-    return "LoadGenOptions: backoff_initial must be finite and > 0";
-  if (bad(opts.backoff_max) || opts.backoff_max < opts.backoff_initial)
-    return "LoadGenOptions: backoff_max must be finite and >= backoff_initial";
-  if (bad(opts.backoff_multiplier) || opts.backoff_multiplier < 1.0)
-    return "LoadGenOptions: backoff_multiplier must be finite and >= 1";
-  if (bad(opts.backoff_jitter) || opts.backoff_jitter < 0.0 ||
-      opts.backoff_jitter >= 1.0)
-    return "LoadGenOptions: backoff_jitter must be in [0, 1)";
   if (bad(opts.offer_deadline) || opts.offer_deadline < 0.0)
     return "LoadGenOptions: offer_deadline must be finite and >= 0";
   return std::nullopt;

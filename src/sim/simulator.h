@@ -4,7 +4,6 @@
 #include <functional>
 #include <utility>
 
-#include "obs/telemetry/profile.h"
 #include "sim/event_queue.h"
 
 namespace sfq::obs {
@@ -71,18 +70,11 @@ class Simulator {
   // sim.max_pending_events, sim.now). nullptr detaches.
   void set_metrics(obs::MetricsRegistry* reg) { metrics_ = reg; }
 
-  // Stage profiling (obs/telemetry/profile.h): when builds define
-  // SFQ_TELEMETRY_PROFILING and the profiler is enabled, every dispatched
-  // event records its wall-clock cost into HistId::kStageSimEvent. nullptr
-  // detaches; without the compile flag this is a dead store.
-  void set_profiler(obs::telemetry::StageProfiler* prof) { profiler_ = prof; }
-
  private:
   // Zero-copy dispatch: the event is run in place in the queue's slab
   // (stable chunk addresses) and its slot recycled afterwards. Handlers may
   // schedule new events while theirs is live — they take other slots.
   void dispatch_next() {
-    SFQ_PROF_SCOPE(profiler_, obs::telemetry::HistId::kStageSimEvent);
     Time when;
     const uint32_t slot = events_.pop_in_place(when);
     now_ = when;
@@ -115,7 +107,6 @@ class Simulator {
   uint64_t scheduled_ = 0;
   std::size_t max_pending_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::telemetry::StageProfiler* profiler_ = nullptr;
 };
 
 }  // namespace sfq::sim

@@ -1,5 +1,5 @@
 # Runs the command given after `--` and fails unless it exits with status
-# EXPECT:
+# EXPECT within 30 seconds (a hang is killed and fails the test):
 #
 #   cmake -DEXPECT=2 -P expect_exit.cmake -- <program> [args...]
 set(cmd)
@@ -12,7 +12,7 @@ foreach(i RANGE ${last})
     set(after_dashes ON)
   endif()
 endforeach()
-execute_process(COMMAND ${cmd} RESULT_VARIABLE status)
+execute_process(COMMAND ${cmd} RESULT_VARIABLE status TIMEOUT 30)
 if(NOT status STREQUAL EXPECT)
   message(FATAL_ERROR "expected exit status ${EXPECT}, got ${status}")
 endif()

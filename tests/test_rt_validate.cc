@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "net/rate_profile.h"
 #include "rt/engine.h"
@@ -38,29 +39,13 @@ TEST(RtValidate, EngineOptionTable) {
   const Case cases[] = {
       {"zero producers", [](EngineOptions& o) { o.producers = 0; }},
       {"zero-capacity ring", [](EngineOptions& o) { o.ring_capacity = 0; }},
-      {"negative spin", [](EngineOptions& o) { o.spin_threshold = -1.0; }},
+      {"ring above 2^24 slots",
+       [](EngineOptions& o) { o.ring_capacity = (std::size_t{1} << 24) + 1; }},
+      {"ring capacity of SIZE_MAX",
+       [](EngineOptions& o) {
+         o.ring_capacity = std::numeric_limits<std::size_t>::max();
+       }},
       {"nan stall timeout", [](EngineOptions& o) { o.stall_timeout = kNan; }},
-      {"shed exit above enter",
-       [](EngineOptions& o) {
-         o.admission_control = true;
-         o.shed_exit = 0.9;
-         o.shed_enter = 0.8;
-       }},
-      {"shed critical above 1",
-       [](EngineOptions& o) {
-         o.admission_control = true;
-         o.shed_critical = 1.5;
-       }},
-      {"zero critical factor",
-       [](EngineOptions& o) {
-         o.admission_control = true;
-         o.shed_critical_factor = 0.0;
-       }},
-      {"negative shed burst",
-       [](EngineOptions& o) {
-         o.admission_control = true;
-         o.shed_burst = -1.0;
-       }},
       {"nan jump delta",
        [](EngineOptions& o) { o.fault_plan.jumps.push_back({0.1, kNan}); }},
       {"backwards skew window",
@@ -75,11 +60,10 @@ TEST(RtValidate, EngineOptionTable) {
     c.mutate(o);
     EXPECT_TRUE(validate(o).has_value()) << c.what;
   }
-  // Shed thresholds are only checked when admission control is on.
-  EngineOptions off;
-  off.shed_exit = 0.9;
-  off.shed_enter = 0.8;
-  EXPECT_FALSE(validate(off).has_value());
+  // The largest ring is still accepted.
+  EngineOptions max_ring;
+  max_ring.ring_capacity = std::size_t{1} << 24;
+  EXPECT_FALSE(validate(max_ring).has_value());
 }
 
 TEST(RtValidate, LoadGenOptionTable) {
@@ -88,18 +72,10 @@ TEST(RtValidate, LoadGenOptionTable) {
     void (*mutate)(LoadGenOptions&);
   };
   const Case cases[] = {
-      {"zero slice", [](LoadGenOptions& o) { o.slice = 0.0; }},
-      {"nan slice", [](LoadGenOptions& o) { o.slice = kNan; }},
-      {"zero backoff initial",
-       [](LoadGenOptions& o) { o.backoff_initial = 0.0; }},
-      {"backoff max below initial",
-       [](LoadGenOptions& o) { o.backoff_max = o.backoff_initial / 2; }},
-      {"shrinking multiplier",
-       [](LoadGenOptions& o) { o.backoff_multiplier = 0.5; }},
-      {"jitter of 1", [](LoadGenOptions& o) { o.backoff_jitter = 1.0; }},
-      {"negative jitter", [](LoadGenOptions& o) { o.backoff_jitter = -0.1; }},
       {"infinite deadline",
        [](LoadGenOptions& o) { o.offer_deadline = kInf; }},
+      {"negative deadline",
+       [](LoadGenOptions& o) { o.offer_deadline = -0.01; }},
   };
   for (const Case& c : cases) {
     LoadGenOptions o;
@@ -192,7 +168,10 @@ TEST(RtValidate, TryCreateReturnsErrorInsteadOfThrowing) {
 // validate() with a diagnostic, never crash, and never slip through. New
 // validation failure classes get a corpus file, not just a table entry.
 // Format: one `engine.<field>`, `loadgen.<field>` or `flow.<field>`
-// directive per line; `#` starts a comment.
+// directive per line with its value; the multi-value directives are
+// `engine.fault_jump AT DELTA`, `engine.fault_skew FROM UNTIL FACTOR`,
+// `engine.fault_pause AT DURATION`, `engine.fault_kill AT` and
+// `flow.onoff_dwell MEAN_ON MEAN_OFF`. `#` starts a comment.
 TEST(RtValidate, CorpusFilesAreAllRejectedWithADiagnostic) {
   namespace fs = std::filesystem;
   std::size_t seen = 0;
@@ -217,34 +196,36 @@ TEST(RtValidate, CorpusFilesAreAllRejectedWithADiagnostic) {
       if (line.empty() || line[0] == '#') continue;
       std::istringstream ls(line);
       std::string key, tok;
-      ls >> key >> tok;
-      // std::stod (not stream extraction) so "nan" and "inf" parse.
-      const double v = tok.empty() ? 0.0 : std::stod(tok);
+      std::vector<std::string> vals;
+      ls >> key;
+      while (ls >> tok) vals.push_back(tok);
+      // std::stod (not stream extraction) so "nan" and "inf" parse; a
+      // missing value reads as 0.
+      auto val = [&](std::size_t i) {
+        return i < vals.size() ? std::stod(vals[i]) : 0.0;
+      };
+      const double v = val(0);
       if (key == "engine.producers") eng.producers = static_cast<std::size_t>(v);
-      else if (key == "engine.ring_capacity")
-        eng.ring_capacity = static_cast<std::size_t>(v);
-      else if (key == "engine.spin_threshold") eng.spin_threshold = v;
+      else if (key == "engine.ring_capacity")  // exact beyond 2^53
+        eng.ring_capacity = vals.empty() ? 0 : std::stoull(vals[0]);
       else if (key == "engine.stall_timeout") eng.stall_timeout = v;
-      else if (key == "engine.admission_control") eng.admission_control = v != 0.0;
-      else if (key == "engine.shed_enter") eng.shed_enter = v;
-      else if (key == "engine.shed_exit") eng.shed_exit = v;
-      else if (key == "engine.shed_critical") eng.shed_critical = v;
-      else if (key == "engine.shed_critical_factor") eng.shed_critical_factor = v;
-      else if (key == "engine.shed_burst") eng.shed_burst = v;
-      else if (key == "engine.fault_pause") {
-        double dur = 0.0;
-        ls >> dur;
-        eng.fault_plan.pauses.push_back({v, dur});
-      } else if (key == "loadgen.slice") lg.slice = v;
-      else if (key == "loadgen.backoff_initial") lg.backoff_initial = v;
-      else if (key == "loadgen.backoff_max") lg.backoff_max = v;
-      else if (key == "loadgen.backoff_multiplier") lg.backoff_multiplier = v;
-      else if (key == "loadgen.backoff_jitter") lg.backoff_jitter = v;
+      else if (key == "engine.fault_jump")
+        eng.fault_plan.jumps.push_back({v, val(1)});
+      else if (key == "engine.fault_skew")
+        eng.fault_plan.skews.push_back({v, val(1), val(2)});
+      else if (key == "engine.fault_pause")
+        eng.fault_plan.pauses.push_back({v, val(1)});
+      else if (key == "engine.fault_kill")
+        eng.fault_plan.kills.push_back({v});
       else if (key == "loadgen.offer_deadline") lg.offer_deadline = v;
       else if (key == "flow.rate") flow.rate = v;
       else if (key == "flow.packet_bits") flow.packet_bits = v;
       else if (key == "flow.start") flow.start = v;
-      else {
+      else if (key == "flow.onoff_dwell") {
+        flow.model = FlowLoad::Model::kOnOff;
+        flow.mean_on = v;
+        flow.mean_off = val(1);
+      } else {
         ADD_FAILURE() << file << ": unknown corpus key '" << key << "'";
         continue;
       }

@@ -217,7 +217,6 @@ TEST(ShardFailover, KillRehomeRestartRehomeBack) {
   opts.shard_faults.push_back({victim, kill_plan});
   opts.failover.enabled = true;
   opts.failover.poll_interval = 0.0005;
-  opts.failover.shard_restart_budget = 1;
   opts.failover.restart_backoff = 0.002;
   auto engine = ShardedEngine::try_create(
       [&](std::size_t, double share) {

@@ -403,27 +403,26 @@ TEST(ShardedEngine, OneShardMatchesRtEngine) {
   EXPECT_EQ(dequeues, b.transmitted);
 }
 
-TEST(ShardedEngine, RejectsBadStatsAndRebalanceIntervals) {
-  // The root owns the stats and rebalance threads, so it validates their
-  // cadences: a negative or non-finite stats_interval, and (rebalance on,
-  // more than one shard) a non-finite or non-positive rebalance_interval,
-  // which would busy-spin or hand NaN to the timed wait.
+TEST(ShardedEngine, RejectsBadStatsOptions) {
+  // The root owns the stats thread and endpoint, so it validates them: a
+  // negative or non-finite stats_interval would busy-spin or hand NaN to
+  // the timed wait, and a stats_port outside [-1, 65535] would wrap to
+  // another port or silently disable the endpoint.
   const std::vector<ShardFlow> flows(4, ShardFlow{1e6, kBits, ""});
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   struct Case {
     const char* what;
     double stats_interval;
-    double rebalance_interval;
+    int stats_port;
   };
   const Case cases[] = {
-      {"negative stats interval", -1.0, 0.002},
-      {"nan stats interval", nan, 0.002},
-      {"infinite stats interval", inf, 0.002},
-      {"zero rebalance interval", 0.0, 0.0},
-      {"negative rebalance interval", 0.0, -0.5},
-      {"nan rebalance interval", 0.0, nan},
-      {"infinite rebalance interval", 0.0, inf},
+      {"negative stats interval", -1.0, -1},
+      {"nan stats interval", nan, -1},
+      {"infinite stats interval", inf, -1},
+      {"port 65536", 0.0, 65536},
+      {"port 70000", 0.0, 70000},
+      {"port -2", 0.0, -2},
   };
   ShardedEngineOptions base;
   base.shards = 2;
@@ -431,7 +430,7 @@ TEST(ShardedEngine, RejectsBadStatsAndRebalanceIntervals) {
   for (const Case& c : cases) {
     ShardedEngineOptions o = base;
     o.stats_interval = c.stats_interval;
-    o.rebalance_interval = c.rebalance_interval;
+    o.stats_port = c.stats_port;
     EXPECT_THROW(ShardedEngine(sfq_factory(o.link_rate), flows, o),
                  std::invalid_argument)
         << c.what;
@@ -442,16 +441,14 @@ TEST(ShardedEngine, RejectsBadStatsAndRebalanceIntervals) {
         << c.what;
     EXPECT_FALSE(err.empty()) << c.what;
   }
-  // The rebalance cadence is unused, so unchecked, with one shard or with
-  // rebalancing off.
-  ShardedEngineOptions one = base;
-  one.shards = 1;
-  one.rebalance_interval = 0.0;
-  EXPECT_NE(ShardedEngine::try_create(sfq_factory(1e8), flows, one), nullptr);
-  ShardedEngineOptions off = base;
-  off.rebalance = false;
-  off.rebalance_interval = nan;
-  EXPECT_NE(ShardedEngine::try_create(sfq_factory(1e8), flows, off), nullptr);
+  // The ends of the port range are accepted (the engine is not started, so
+  // nothing binds).
+  for (int port : {-1, 65535}) {
+    ShardedEngineOptions o = base;
+    o.stats_port = port;
+    EXPECT_NE(ShardedEngine::try_create(sfq_factory(1e8), flows, o), nullptr)
+        << port;
+  }
 }
 
 TEST(ShardedEngine, StatsThreadPublishesOverHttp) {

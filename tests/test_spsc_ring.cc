@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,14 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
   EXPECT_EQ(SpscRing<int>(1000).capacity(), 1024u);
   EXPECT_EQ(SpscRing<int>(1024).capacity(), 1024u);
+}
+
+// Above the largest power of two a std::size_t holds, doubling would wrap
+// to 0 and never reach the request: the constructor throws instead.
+TEST(SpscRing, CapacityBeyondLargestPowerOfTwoThrows) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(SpscRing<int>{kMax}, std::length_error);
+  EXPECT_THROW(SpscRing<int>{kMax / 2 + 2}, std::length_error);
 }
 
 TEST(SpscRing, EmptyRing) {

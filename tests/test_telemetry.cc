@@ -20,7 +20,6 @@
 #include "obs/telemetry/exposition.h"
 #include "obs/telemetry/histogram.h"
 #include "obs/telemetry/metric_ids.h"
-#include "obs/telemetry/profile.h"
 #include "obs/telemetry/stats_server.h"
 #include "obs/telemetry/telemetry.h"
 
@@ -204,28 +203,6 @@ TEST(TelemetryPlane, ShardsAreIndependentLabelDimensions) {
   EXPECT_EQ(s.hist(tel::HistId::kServiceLag, 0).count, 0u);
   EXPECT_EQ(s.gauge(tel::GaugeId::kBacklogPackets, 1), 9.0);
   EXPECT_THROW(plane.writer(3), std::out_of_range);
-}
-
-// --- stage profiler ----------------------------------------------------------
-
-TEST(TelemetryProfiler, DisabledScopesRecordNothing) {
-  tel::Telemetry plane;
-  tel::StageProfiler prof(plane);
-  {
-    tel::StageProfiler::Scope s(&prof, tel::HistId::kStageDrain);
-  }
-  {
-    tel::StageProfiler::Scope s(nullptr, tel::HistId::kStageDrain);
-  }
-  EXPECT_EQ(plane.snapshot().hist_total(tel::HistId::kStageDrain).count, 0u);
-
-  prof.enable(true);
-  {
-    tel::StageProfiler::Scope s(&prof, tel::HistId::kStageDrain);
-  }
-  const tel::HistogramSnapshot h =
-      plane.snapshot().hist_total(tel::HistId::kStageDrain);
-  EXPECT_EQ(h.count, 1u);
 }
 
 // --- exposition --------------------------------------------------------------
