@@ -34,6 +34,7 @@
 #include "alloc_guard.h"
 #include "bench_util.h"
 #include "core/sfq_scheduler.h"
+#include "core/splitmix.h"
 #include "stats/time_series.h"
 
 namespace {
@@ -59,14 +60,6 @@ double env_double(const char* name, double fallback) {
   return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
 }
 
-// Deterministic SplitMix64 stream for the Zipf draws.
-uint64_t mix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 // Zipf(s = 1.0) over kFlows ranks via the precomputed CDF: rank i (0-based)
 // has probability (1/(i+1)) / H(kFlows). The head flow carries ~7% of the
 // traffic, the median packet still lands in the first few thousand flows,
@@ -80,10 +73,10 @@ std::vector<FlowId> make_zipf_schedule(std::size_t draws, uint64_t seed) {
   }
   for (double& c : cdf) c /= h;
   std::vector<FlowId> schedule(draws);
-  uint64_t state = seed;
+  SplitMix64 rng(seed);
   for (std::size_t i = 0; i < draws; ++i) {
     const double u =
-        static_cast<double>(mix64(state) >> 11) * 0x1.0p-53;  // [0, 1)
+        static_cast<double>(rng() >> 11) * 0x1.0p-53;  // [0, 1)
     const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
     schedule[i] = static_cast<FlowId>(it - cdf.begin());
   }

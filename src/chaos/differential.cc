@@ -53,14 +53,6 @@ std::string describe_event(const obs::TraceEvent& e) {
   return ss.str();
 }
 
-// Average offered rate of a flow, for the weak throughput oracle.
-double offered_rate(const config::FlowSpec& f) {
-  if (f.kind == "greedy") return f.rate > 0.0 ? f.rate : 2.0 * f.weight;
-  if (f.kind == "onoff")
-    return f.rate * f.mean_on / std::max(f.mean_on + f.mean_off, 1e-9);
-  return f.rate;
-}
-
 SchedulerOptions scheduler_options_for(const config::ExperimentSpec& spec) {
   SchedulerOptions opts;
   opts.assumed_capacity = spec.link_rate();
@@ -135,6 +127,52 @@ CheckResult replay_transcript(Scheduler& replay,
 }
 
 }  // namespace
+
+CheckResult check_work_conservation(
+    const std::vector<obs::TraceEvent>& events) {
+  CheckResult res;
+  bool busy = false;
+  // The event that obliges a kTxStart at its own instant: a completion that
+  // leaves backlog, or an acceptance onto an idle link. The next link-level
+  // event must be that kTxStart; scheduler-internal events (kTag, kDequeue,
+  // kVtime) may come between.
+  const obs::TraceEvent* owed = nullptr;
+  auto violation = [&](const char* why) {
+    std::ostringstream ss;
+    ss << "link idle with backlog: " << describe_event(*owed) << " " << why;
+    res.fail("throughput", ss.str());
+  };
+  for (const obs::TraceEvent& e : events) {
+    switch (e.type) {
+      case obs::TraceEventType::kTag:
+      case obs::TraceEventType::kDequeue:
+      case obs::TraceEventType::kVtime:
+        continue;
+      case obs::TraceEventType::kTxStart:
+        if (owed != nullptr && e.t != owed->t) {
+          violation("started only later");
+          return res;
+        }
+        busy = true;
+        owed = nullptr;
+        continue;
+      default:
+        break;
+    }
+    if (owed != nullptr) {
+      violation("was not followed by a transmission start");
+      return res;
+    }
+    if (e.type == obs::TraceEventType::kTxEnd) {
+      busy = false;
+      if (e.backlog > 0) owed = &e;
+    } else if (e.type == obs::TraceEventType::kEnqueue && !busy) {
+      owed = &e;
+    }
+  }
+  if (owed != nullptr) violation("was the last event of the run");
+  return res;
+}
 
 CheckResult check_sim(const config::ExperimentSpec& spec, uint64_t seed) {
   CheckResult res;
@@ -226,30 +264,13 @@ CheckResult check_sim(const config::ExperimentSpec& spec, uint64_t seed) {
     res.fail("throughput", ss.str());
     return res;
   }
-  // Lower bound, only where it is airtight: no faults/churn, single hop,
-  // every flow runs the whole horizon. A work-conserving server must then
-  // clear at least half of min(offered, capacity) — generous slack for
-  // bursty models and end-of-run backlog.
-  bool clean = !spec.has_faults() && spec.hops.size() == 1;
-  double offered = 0.0;
-  for (const config::FlowSpec& f : spec.flows) {
-    clean &= f.start == 0.0 && f.stop < 0.0;
-    offered += offered_rate(f);
-  }
-  if (clean && spec.hops.front().delta == 0.0) {
-    const double expect =
-        0.5 * std::min(offered, spec.link_rate()) * spec.duration -
-        2.0 * max_packet * spec.flows.size();
-    if (delivered_bits < expect) {
-      std::ostringstream ss;
-      ss << "delivered " << delivered_bits << " bits < " << expect
-         << " (half of min(offered " << offered << ", capacity "
-         << spec.link_rate() << ") x " << spec.duration
-         << "s) on a clean run — server not work-conserving?";
-      res.fail("throughput", ss.str());
-      return res;
-    }
-  }
+  // Lower bound, exact: the first hop never idles while it holds backlog.
+  // Every discipline the generator draws is work-conserving, and faults
+  // (outages, brown-outs, FC on/off links) stretch a transmission's finish
+  // time rather than delay its start, so the check applies to every seed.
+  const CheckResult wc = check_work_conservation(ea);
+  if (!wc.ok)
+    res.fail(wc.kind, wc.detail + " (seed " + std::to_string(seed) + ")");
   return res;
 }
 

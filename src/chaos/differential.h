@@ -10,9 +10,10 @@
 //                    scenario seed baked into every violation message;
 //   * fairness     — for SFQ/SCFQ scenarios, the empirical Theorem-1 ratio
 //                    from run_experiment must stay within the analytic bound;
-//   * throughput   — Theorem-2-flavoured sanity: delivery never exceeds link
-//                    capacity, and a clean (fault-free, full-length-flows)
-//                    run keeps the server busy enough for the offered load.
+//   * throughput   — delivery never exceeds link capacity, and the first
+//                    hop is exactly work-conserving: its recorded trace
+//                    never leaves the link idle while packets are queued
+//                    (check_work_conservation).
 //
 // Rt side (check_rt):
 //   * the live RtEngine records the exact scheduler-op sequence its
@@ -25,8 +26,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "config/experiment.h"
+#include "obs/trace.h"
 
 namespace sfq::chaos {
 
@@ -43,6 +46,12 @@ struct CheckResult {
     detail = std::move(d);
   }
 };
+
+// Exact work-conservation oracle over one link's recorded trace: every
+// kTxEnd that leaves backlog, and every kEnqueue onto an idle link, must be
+// followed by a kTxStart at the same instant, before any other link-level
+// event (kEnqueue, kTxEnd, kDrop). Fails with kind "throughput".
+CheckResult check_work_conservation(const std::vector<obs::TraceEvent>& events);
 
 // Simulator-side differential + oracle checks for one scenario.
 CheckResult check_sim(const config::ExperimentSpec& spec, uint64_t seed);

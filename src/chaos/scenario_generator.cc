@@ -5,25 +5,14 @@
 #include <string>
 #include <vector>
 
+#include "core/splitmix.h"
+
 namespace sfq::chaos {
-
-namespace {
-
-// SplitMix64 over the seed decorrelates consecutive seeds before they reach
-// the mt19937_64 state (seeds 1,2,3,... would otherwise start correlated).
-uint64_t mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 rt::RtFaultPlan generate_rt_faults(uint64_t seed, Time horizon) {
   // Decorrelate from generate(): the same seed drives both, and the fault
   // plan must not echo the scenario's random choices.
-  std::mt19937_64 rng(mix(seed ^ 0xfa417a6b715c10c7ULL));
+  std::mt19937_64 rng(splitmix64(seed ^ 0xfa417a6b715c10c7ULL));
   auto uni = [&](double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(rng);
   };
@@ -56,7 +45,7 @@ ShardKillScenario generate_shard_kill(uint64_t seed, Time horizon,
                                       std::size_t shards) {
   // Decorrelated from both generate() and generate_rt_faults(): the same
   // seed can drive all three without the kill echoing their choices.
-  std::mt19937_64 rng(mix(seed ^ 0x5ca1ab1edeadbeefULL));
+  std::mt19937_64 rng(splitmix64(seed ^ 0x5ca1ab1edeadbeefULL));
   auto uni = [&](double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(rng);
   };
@@ -70,7 +59,10 @@ ShardKillScenario generate_shard_kill(uint64_t seed, Time horizon,
 }
 
 config::ExperimentSpec ScenarioGenerator::generate(uint64_t seed) const {
-  std::mt19937_64 rng(mix(seed));
+  // SplitMix64 over the seed decorrelates consecutive seeds before they
+  // reach the mt19937_64 state (seeds 1,2,3,... would otherwise start
+  // correlated).
+  std::mt19937_64 rng(splitmix64(seed));
   auto uni = [&](double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(rng);
   };

@@ -191,6 +191,16 @@ FlowSpec parse_flow(std::map<std::string, std::string> kv, std::size_t lineno,
   if (f.packet <= 0.0 && f.kind != "vbr")
     throw std::invalid_argument("line " + std::to_string(lineno) +
                                 ": flow needs packet=");
+  // Only greedy flows derive their offered load from the weight; a rateless
+  // cbr/poisson/onoff/vbr source would emit nothing useful.
+  if (f.rate <= 0.0 && f.kind != "greedy")
+    throw std::invalid_argument("line " + std::to_string(lineno) + ": " +
+                                f.kind + " flow needs rate=");
+  // A zero dwell makes the on-off source spin at one simulated instant.
+  if (f.kind == "onoff" && (f.mean_on <= 0.0 || f.mean_off <= 0.0))
+    throw std::invalid_argument("line " + std::to_string(lineno) +
+                                ": onoff flow needs mean_on= and mean_off= "
+                                "above zero");
   if (f.stop >= 0.0 && f.stop < f.start)
     throw std::invalid_argument("line " + std::to_string(lineno) +
                                 ": flow stop= precedes start=");

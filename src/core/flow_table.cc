@@ -2,18 +2,9 @@
 
 #include <stdexcept>
 
-namespace sfq {
+#include "core/splitmix.h"
 
-namespace {
-// SplitMix64 finalizer — same mixer the shard router uses; good avalanche for
-// arbitrary 64-bit keys feeding a power-of-two probe table.
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
+namespace sfq {
 
 const FlowSpec& FlowTable::live_ref(FlowId id) const {
   if (!contains(id))
@@ -101,8 +92,9 @@ void FlowTable::rebuild_aggregates() {
   total_max_packet_bits_ = l;
 }
 
+// SplitMix64 avalanches arbitrary 64-bit keys across the power-of-two table.
 std::size_t FlowTable::probe_start(uint64_t key) const {
-  return static_cast<std::size_t>(mix64(key)) & (keys_.size() - 1);
+  return static_cast<std::size_t>(splitmix64(key)) & (keys_.size() - 1);
 }
 
 void FlowTable::bind_key(uint64_t key, FlowId id) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/splitmix.h"
 #include "core/types.h"
 
 namespace sfq::rt {
@@ -25,11 +26,7 @@ class ShardRouter {
   // avalanches low-entropy sequential flow ids across shards far better
   // than a bare modulus would.
   std::size_t shard_of(FlowId f) const {
-    uint64_t x = static_cast<uint64_t>(f) + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % shards_);
+    return static_cast<std::size_t>(splitmix64(f) % shards_);
   }
 
   // Failover placement (docs/ROBUSTNESS.md "Shard failover"): the primary
@@ -49,11 +46,9 @@ class ShardRouter {
       if (!alive[k]) continue;
       // Independent per-(flow, shard) score: mix the pair through the same
       // finalizer the primary route uses.
-      uint64_t x = (static_cast<uint64_t>(f) << 20) ^
-                   (static_cast<uint64_t>(k) + 0x9e3779b97f4a7c15ULL);
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      x ^= x >> 31;
+      const uint64_t x =
+          splitmix64_mix((static_cast<uint64_t>(f) << 20) ^
+                         (static_cast<uint64_t>(k) + kGoldenGamma));
       if (!found || x > best) {
         best = x;
         best_k = k;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/packet.h"
+#include "core/splitmix.h"
 #include "sim/simulator.h"
 
 namespace sfq::traffic {
@@ -99,7 +100,7 @@ class PoissonSource final : public Source {
 
  private:
   double packet_bits_;
-  std::mt19937_64 rng_;
+  SplitMix64 rng_;
   std::exponential_distribution<double> gap_;
 };
 
@@ -122,7 +123,7 @@ class OnOffSource final : public Source {
  private:
   Time interval_;
   double packet_bits_;
-  std::mt19937_64 rng_;
+  SplitMix64 rng_;
   std::exponential_distribution<double> on_dist_;
   std::exponential_distribution<double> off_dist_;
   Time on_until_ = -1.0;  // <0: need to draw a new ON period

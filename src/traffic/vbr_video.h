@@ -43,7 +43,7 @@ class MpegVbrSource final : public Source {
   void packetize(double frame_bits);
 
   Params p_;
-  std::mt19937_64 rng_;
+  SplitMix64 rng_;
   std::normal_distribution<double> gauss_;
   double i_mean_ = 0.0;  // calibrated mean I-frame size (bits)
   std::size_t gop_pos_ = 0;

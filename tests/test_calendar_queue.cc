@@ -13,18 +13,12 @@
 #include <vector>
 
 #include "core/calendar_queue.h"
+#include "core/splitmix.h"
 
 namespace sfq {
 namespace {
 
 constexpr double kQuantum = 0.5;
-
-uint64_t mix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // Exact reference model: ordered by (tick, admission seq). std::map keeps it
 // obviously-correct; the wheel must match it pop for pop.
@@ -139,7 +133,7 @@ TEST(CalendarQueue, RandomizedDifferentialAgainstExactModel) {
   for (const uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
     CalendarQueue wheel(kQuantum);
     RefModel ref(kQuantum);
-    uint64_t rng = seed * 0x9e3779b97f4a7c15ull + 1;
+    SplitMix64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
     uint64_t seq = 0;
     uint32_t next_id = 0;
     std::vector<uint32_t> live;
@@ -150,7 +144,7 @@ TEST(CalendarQueue, RandomizedDifferentialAgainstExactModel) {
     };
 
     for (int op_i = 0; op_i < 20'000; ++op_i) {
-      const uint64_t r = mix64(rng);
+      const uint64_t r = rng();
       const unsigned op = r % 100;
       if (op < 45 || live.empty()) {
         // push: tag in [floor, floor + spread); spread occasionally huge so
@@ -162,22 +156,22 @@ TEST(CalendarQueue, RandomizedDifferentialAgainstExactModel) {
                                          : 1.0e13;
         const double tag =
             floor_tag() +
-            spread * (static_cast<double>(mix64(rng) >> 11) * 0x1.0p-53);
+            spread * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
         const uint32_t id = next_id++;
         wheel.push(id, tag);
         ref.push(id, tag, seq++);
         live.push_back(id);
       } else if (op < 60) {
         // update: re-key a random live id to a fresh tag >= the cursor.
-        const uint32_t id = live[mix64(rng) % live.size()];
+        const uint32_t id = live[rng() % live.size()];
         const double tag =
             floor_tag() +
-            1.0e5 * (static_cast<double>(mix64(rng) >> 11) * 0x1.0p-53);
+            1.0e5 * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
         wheel.update(id, tag);
         ref.erase(id);
         ref.push(id, tag, seq++);
       } else if (op < 70) {
-        const std::size_t k = mix64(rng) % live.size();
+        const std::size_t k = rng() % live.size();
         const uint32_t id = live[k];
         wheel.erase(id);
         ref.erase(id);

@@ -18,6 +18,7 @@
 #include <stdexcept>
 
 #include "core/flow_table.h"
+#include "core/splitmix.h"
 #include "core/sfq_scheduler.h"
 
 namespace sfq {
@@ -92,31 +93,24 @@ double scan_total_max_packet_bits(const FlowTable& t) {
   return sum;
 }
 
-uint64_t mix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 TEST(FlowTable, AggregatesMatchScanUnderRandomChurn) {
   FlowTable t;
   std::vector<FlowId> live;
-  uint64_t rng = 42;
+  SplitMix64 rng(42);
   for (int op = 0; op < 50'000; ++op) {
-    const unsigned pick = mix64(rng) % 100;
+    const unsigned pick = rng() % 100;
     if (pick < 40 || live.empty()) {
-      const double w = 1.0 + static_cast<double>(mix64(rng) % 1000);
-      const double l = static_cast<double>(mix64(rng) % 16) * 100.0;
+      const double w = 1.0 + static_cast<double>(rng() % 1000);
+      const double l = static_cast<double>(rng() % 16) * 100.0;
       live.push_back(t.add(w, l));
     } else if (pick < 60) {
-      const std::size_t k = mix64(rng) % live.size();
+      const std::size_t k = rng() % live.size();
       t.reclaim(live[k]);
       live[k] = live.back();
       live.pop_back();
     } else {
-      const FlowId f = live[mix64(rng) % live.size()];
-      t.set_active(f, mix64(rng) % 2 == 0);
+      const FlowId f = live[rng() % live.size()];
+      t.set_active(f, rng() % 2 == 0);
     }
     if (op % 1000 == 0) {
       // The incremental values drift by at most a few ulps between the
@@ -223,15 +217,15 @@ TEST(FlowTable, KeyIndexHandlesCollisionChurnAtScale) {
   FlowTable t;
   t.reserve(512);
   std::vector<std::pair<uint64_t, FlowId>> bound;
-  uint64_t rng = 7;
+  SplitMix64 rng(7);
   for (int op = 0; op < 20'000; ++op) {
-    if (bound.size() < 256 && (bound.empty() || mix64(rng) % 3 != 0)) {
-      const uint64_t key = mix64(rng) | 1;
+    if (bound.size() < 256 && (bound.empty() || rng() % 3 != 0)) {
+      const uint64_t key = rng() | 1;
       const FlowId id = t.add(1.0);
       t.bind_key(key, id);
       bound.emplace_back(key, id);
     } else {
-      const std::size_t k = mix64(rng) % bound.size();
+      const std::size_t k = rng() % bound.size();
       t.reclaim(bound[k].second);
       bound[k] = bound.back();
       bound.pop_back();

@@ -22,6 +22,7 @@
 #include "config/experiment.h"
 #include "core/scheduler_factory.h"
 #include "core/sfq_scheduler.h"
+#include "core/splitmix.h"
 
 namespace sfq {
 namespace {
@@ -42,13 +43,6 @@ SfqScheduler make_wheel(double quantum, bool gc = false) {
   return SfqScheduler(o);
 }
 
-uint64_t mix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 // Random backlogged workload pushed through both cores; returns the two
 // dequeue sequences (flow ids in service order).
 struct CoreRun {
@@ -64,12 +58,12 @@ CoreRun drive(SfqScheduler& s, uint64_t seed, std::size_t flows,
     ids.push_back(s.add_flow(100.0 * (1 + f % 3), 400.0));
   CoreRun run;
   run.flow_bits.assign(flows, 0.0);
-  uint64_t rng = seed;
+  SplitMix64 rng(seed);
   uint64_t seq = 1;
   for (std::size_t i = 0; i < ops; ++i) {
     // 2 enqueues : 1 dequeue keeps a growing backlog; drain at the end.
-    const FlowId f = ids[mix64(rng) % ids.size()];
-    const double bits = 100.0 * (1 + mix64(rng) % 8);
+    const FlowId f = ids[rng() % ids.size()];
+    const double bits = 100.0 * (1 + rng() % 8);
     s.enqueue(mk(f, seq++, bits), 0.0);
     if (i % 2 == 0) {
       std::optional<Packet> p = s.dequeue(0.0);

@@ -101,6 +101,33 @@ TEST(ShardRouter, StableCoversAndMatchesEngine) {
   }
 }
 
+TEST(ShardRouter, PlacementIsPinned) {
+  // Placement is part of the deployed contract: a flow's home shard (and
+  // its failover target) must not move when the hash code is refactored.
+  const std::vector<FlowId> ids = {0, 1, 2, 3, 17, 1000, 65535};
+  auto homes = [&](std::size_t shards) {
+    std::vector<std::size_t> out;
+    for (FlowId f : ids) out.push_back(ShardRouter(shards).shard_of(f));
+    return out;
+  };
+  EXPECT_EQ(homes(2), (std::vector<std::size_t>{1, 1, 0, 1, 1, 0, 0}));
+  EXPECT_EQ(homes(4), (std::vector<std::size_t>{3, 1, 2, 1, 3, 0, 2}));
+  EXPECT_EQ(homes(7), (std::vector<std::size_t>{2, 2, 4, 2, 6, 0, 0}));
+
+  auto rehomes = [](const std::vector<char>& alive) {
+    std::vector<std::size_t> out;
+    for (FlowId f = 0; f < 24; ++f)
+      out.push_back(ShardRouter(4).rehome(f, alive));
+    return out;
+  };
+  EXPECT_EQ(rehomes({1, 0, 1, 1}),
+            (std::vector<std::size_t>{3, 3, 2, 3, 2, 2, 0, 3, 2, 0, 2, 0,
+                                      3, 3, 2, 0, 3, 3, 2, 0, 0, 3, 2, 2}));
+  EXPECT_EQ(rehomes({0, 1, 0, 1}),
+            (std::vector<std::size_t>{3, 1, 3, 1, 1, 1, 3, 3, 3, 1, 3, 1,
+                                      3, 3, 3, 1, 3, 3, 3, 3, 1, 3, 3, 1}));
+}
+
 TEST(ShardedEngine, GlobalLedgerConservationIsExact) {
   // 4 shards behind tiny per-shard buffers, blasted unpaced with a mix of
   // known and unknown flow ids. After stop(kDrain): each shard's ledger

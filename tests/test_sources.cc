@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "core/splitmix.h"
 #include "sim/simulator.h"
 #include "traffic/leaky_bucket.h"
 #include "traffic/sources.h"
@@ -76,6 +81,90 @@ TEST(PoissonSource, InterarrivalsAreVariable) {
   var /= static_cast<double>(gaps.size());
   // Exponential: std ~ mean; CBR would have var = 0.
   EXPECT_GT(var, 0.25 * mean * mean);
+}
+
+// The first `n` inter-arrival gaps of a Poisson source of `pps` packets/s.
+std::vector<double> poisson_gaps(std::size_t n, double pps, uint64_t seed) {
+  sim::Simulator sim;
+  Capture cap;
+  PoissonSource src(sim, 0, cap.fn(sim), pps, /*packet=*/1.0, seed);
+  // 1.2x the expected span leaves n gaps with overwhelming probability.
+  src.run(0.0, 1.2 * static_cast<double>(n) / pps);
+  sim.run();
+  std::vector<double> gaps;
+  for (std::size_t i = 1; i < cap.times.size() && gaps.size() < n; ++i)
+    gaps.push_back(cap.times[i] - cap.times[i - 1]);
+  return gaps;
+}
+
+TEST(SplitMix64, MatchesPublishedSequence) {
+  // Vigna's reference splitmix64.c from state 0.
+  SplitMix64 g(0);
+  EXPECT_EQ(g(), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(g(), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(g(), 0x06c45d188009454fULL);
+  // The stateless hash form is the generator's first output from state x.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+}
+
+TEST(TrafficSources, PerFlowStateStaysSmall) {
+  // 65,536 sources in sim_flowscale: per-source state is the workload's
+  // resident set, so the generator must stay a few words.
+  EXPECT_LE(sizeof(PoissonSource), 128u);
+  EXPECT_LE(sizeof(OnOffSource), 128u);
+}
+
+TEST(PoissonSource, GapsFitTheExponential) {
+  constexpr std::size_t kN = 100000;
+  constexpr double kPps = 1000.0;
+  std::vector<double> gaps = poisson_gaps(kN, kPps, /*seed=*/2024);
+  ASSERT_EQ(gaps.size(), kN);
+  const double n = static_cast<double>(kN);
+  double mean = 0.0;
+  for (double g : gaps) mean += g;
+  mean /= n;
+  double var = 0.0;
+  for (double g : gaps) var += (g - mean) * (g - mean);
+  var /= n - 1.0;
+  EXPECT_NEAR(mean * kPps, 1.0, 0.01);
+  EXPECT_NEAR(std::sqrt(var) / mean, 1.0, 0.02);  // exponential: CV = 1
+  // One-sample Kolmogorov-Smirnov against Exp(kPps), 5% critical value.
+  std::sort(gaps.begin(), gaps.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const double cdf = 1.0 - std::exp(-kPps * gaps[i]);
+    d = std::max({d, cdf - static_cast<double>(i) / n,
+                  static_cast<double>(i + 1) / n - cdf});
+  }
+  EXPECT_LT(d, 1.36 / std::sqrt(n));
+}
+
+TEST(PoissonSource, DefaultSeedsAreUncorrelated) {
+  // FlowSpec's default seed is 1 + index, so neighbouring flows get
+  // neighbouring seeds: their gap sequences must still be independent.
+  constexpr std::size_t kN = 20000;
+  constexpr uint64_t kSeeds = 64;
+  std::vector<std::vector<double>> z;  // standardized gap sequences
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    std::vector<double> g = poisson_gaps(kN, 1000.0, seed);
+    ASSERT_EQ(g.size(), kN);
+    double mean = 0.0, var = 0.0;
+    for (double x : g) mean += x;
+    mean /= static_cast<double>(kN);
+    for (double x : g) var += (x - mean) * (x - mean);
+    const double sd = std::sqrt(var / static_cast<double>(kN));
+    for (double& x : g) x = (x - mean) / sd;
+    z.push_back(std::move(g));
+  }
+  const double limit = 4.0 / std::sqrt(static_cast<double>(kN));
+  for (std::size_t a = 0; a < z.size(); ++a) {
+    for (std::size_t b = a + 1; b < z.size(); ++b) {
+      double r = 0.0;
+      for (std::size_t i = 0; i < kN; ++i) r += z[a][i] * z[b][i];
+      r /= static_cast<double>(kN);
+      EXPECT_LT(std::abs(r), limit) << "seeds " << a + 1 << " and " << b + 1;
+    }
+  }
 }
 
 TEST(OnOffSource, BurstsAndSilences) {
