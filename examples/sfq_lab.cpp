@@ -7,8 +7,12 @@
 // Observability overrides (equivalent to `trace` / `metrics` directives in
 // the config; see docs/OBSERVABILITY.md):
 //   --trace FILE     write a JSONL packet-lifecycle trace of the first hop
-//   --metrics FILE   write a MetricsRegistry JSON dump ("-" = stdout)
+//   --metrics FILE   write the telemetry plane's JSON document, the one
+//                    sfq_serve's /metrics.json serves ("-" = stdout)
 //   --check          run the online invariant checker; exit 1 on violations
+//
+// A malformed config or an output file that cannot be opened prints a
+// diagnostic and exits 2.
 //
 // Fault injection (equivalent to `fault` directives; docs/ROBUSTNESS.md):
 //   --faults "link down=3s up=4s; loss p=0.02 from=1s until=9s"
@@ -25,7 +29,9 @@
 //   flow name=bulk  kind=greedy  packet=1500B weight=4Mbps
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "config/experiment.h"
@@ -121,28 +127,38 @@ int main(int argc, char** argv) {
     text += "\nfault " + group + "\n";
   }
 
-  config::ExperimentSpec spec;
-  {
-    std::istringstream in(text);
-    spec = config::ExperimentSpec::parse(in);
+  std::istringstream in(text);
+  std::string error;
+  std::optional<config::ExperimentSpec> parsed =
+      config::ExperimentSpec::try_parse(in, &error);
+  if (!parsed) {
+    std::fprintf(stderr, "sfq_lab: %s\n", error.c_str());
+    return 2;
   }
+  config::ExperimentSpec& spec = *parsed;
   if (!trace_file.empty()) spec.obs.trace_jsonl = trace_file;
   if (!metrics_file.empty()) spec.obs.metrics_json = metrics_file;
   if (check) spec.obs.check_invariants = true;
 
+  // An output file that cannot be opened ends the run with a runtime_error.
   uint64_t violations = 0;
-  if (!sweep) {
-    const auto r = config::run_experiment(spec);
-    print_result(spec, r);
-    violations = r.invariant_violations;
-  } else {
-    for (const std::string& name : scheduler_names()) {
-      if (name == "EDD") continue;  // needs per-flow deadlines, not in configs
-      spec.scheduler = name;
+  try {
+    if (!sweep) {
       const auto r = config::run_experiment(spec);
       print_result(spec, r);
-      violations += r.invariant_violations;
+      violations = r.invariant_violations;
+    } else {
+      for (const std::string& name : scheduler_names()) {
+        if (name == "EDD") continue;  // needs per-flow deadlines
+        spec.scheduler = name;
+        const auto r = config::run_experiment(spec);
+        print_result(spec, r);
+        violations += r.invariant_violations;
+      }
     }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "sfq_lab: %s\n", e.what());
+    return 2;
   }
   return violations == 0 ? 0 : 1;
 }

@@ -43,14 +43,14 @@ with open(sys.argv[1]) as f:
         n += 1
 assert n > 0, "empty trace"
 m = json.load(open(sys.argv[2]))
-assert "flow.voice.delay" in m["histograms"], m["histograms"].keys()
-# Registry histograms render through the telemetry summary object
-# (append_histogram_json), the same keys /metrics.json carries.
-h = m["histograms"]["flow.voice.delay"]
+# The simulator reports through the telemetry plane: the document is the
+# /metrics.json one, with the first hop's queue delay at shard 0.
+h = m["histograms"]["rt.queue_delay"][0]
 for key in ("count", "p50_s", "p99_s", "max_s"):
     assert key in h, (key, sorted(h))
 assert h["count"] > 0 and 0 < h["p50_s"] <= h["p99_s"] <= h["max_s"], h
 assert "sched.drops.buffer_limit" in m["counters"]
+assert m["gauges"]["sim.events_executed"][0] > 0, m["gauges"]
 print(f"trace OK: {n} JSONL lines, metrics OK: "
       f"{len(m['counters'])} counters, {len(m['histograms'])} histograms")
 EOF

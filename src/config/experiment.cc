@@ -7,6 +7,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,7 +19,8 @@
 #include "net/network.h"
 #include "net/scheduled_server.h"
 #include "obs/invariant_checker.h"
-#include "obs/metrics.h"
+#include "obs/telemetry/exposition.h"
+#include "obs/telemetry/trace_sink.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "stats/delay_stats.h"
@@ -674,13 +676,11 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
   // Observability: instrument the first (usually bottleneck-shared) hop.
   obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  std::optional<obs::telemetry::Telemetry> plane;
   obs::InvariantChecker* checker = nullptr;
   const bool obs_on = spec.obs.enabled() || extra_sink != nullptr;
   if (extra_sink != nullptr) tracer.add_sink(extra_sink);
   if (obs_on) {
-    std::vector<std::string> flow_names;
-    for (const FlowSpec& f : spec.flows) flow_names.push_back(f.name);
     if (!spec.obs.trace_jsonl.empty()) {
       auto jsonl = std::make_unique<obs::JsonlSink>(spec.obs.trace_jsonl);
       jsonl->meta("scheduler", spec.scheduler);
@@ -698,8 +698,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       tracer.own(std::move(c));
     }
     if (spec.obs.metrics_enabled()) {
-      tracer.own(std::make_unique<obs::MetricsSink>(metrics, flow_names));
-      sim.set_metrics(&metrics);
+      plane.emplace();
+      tracer.own(std::make_unique<obs::telemetry::TraceSink>(*plane));
     }
     if (multi_hop) tandem->server(0).set_tracer(&tracer);
     else single_server->set_tracer(&tracer);
@@ -772,26 +772,31 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       result.invariant_violations = checker->violation_count();
       result.invariant_report = checker->report();
     }
-    if (spec.obs.metrics_enabled()) {
-      result.metrics_json = metrics.json();
-      auto write_to = [&](const std::string& target, bool as_json) {
+    if (plane) {
+      using obs::telemetry::GaugeId;
+      plane->set_gauge(GaugeId::kSimEventsExecuted,
+                       static_cast<double>(sim.events_executed()));
+      plane->set_gauge(GaugeId::kSimEventsScheduled,
+                       static_cast<double>(sim.events_scheduled()));
+      plane->set_gauge(GaugeId::kSimPendingEvents,
+                       static_cast<double>(sim.pending_events()));
+      plane->set_gauge(GaugeId::kSimMaxPendingEvents,
+                       static_cast<double>(sim.max_pending_events()));
+      plane->set_gauge(GaugeId::kSimNow, sim.now());
+      const obs::telemetry::TelemetrySnapshot snap = plane->snapshot();
+      result.metrics_json = obs::telemetry::to_json(snap);
+      auto write_to = [](const std::string& target, const std::string& doc) {
         if (target.empty()) return;
         if (target == "-") {
-          if (as_json) {
-            std::cout << result.metrics_json << "\n";
-          } else {
-            metrics.dump_text(std::cout);
-          }
+          std::cout << doc;
           return;
         }
         std::ofstream out(target);
-        if (!out)
-          throw std::runtime_error("cannot open metrics file: " + target);
-        if (as_json) out << result.metrics_json << "\n";
-        else metrics.dump_text(out);
+        if (!(out << doc))
+          throw std::runtime_error("cannot write metrics file: " + target);
       };
-      write_to(spec.obs.metrics_json, /*as_json=*/true);
-      write_to(spec.obs.metrics_text, /*as_json=*/false);
+      write_to(spec.obs.metrics_json, result.metrics_json + "\n");
+      write_to(spec.obs.metrics_text, obs::telemetry::to_prometheus(snap));
     }
   }
   if (!multi_hop) {

@@ -26,8 +26,8 @@ void append_u64(std::string& out, uint64_t v) {
   out += buf;
 }
 
-}  // namespace
-
+// Appends {"count":N,"sum_s":..,"mean_s":..,"p50_s":..,"p90_s":..,
+// "p99_s":..,"max_s":..} for one histogram snapshot.
 void append_histogram_json(std::string& out, const HistogramSnapshot& hs) {
   out += "{\"count\":";
   append_u64(out, hs.count);
@@ -45,6 +45,8 @@ void append_histogram_json(std::string& out, const HistogramSnapshot& hs) {
   append_double(out, hs.max_s());
   out += "}";
 }
+
+}  // namespace
 
 std::string to_prometheus(const TelemetrySnapshot& snap) {
   std::string out;

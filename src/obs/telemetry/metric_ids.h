@@ -1,13 +1,12 @@
 // Static metric-id table for the hot-path telemetry plane
 // (docs/OBSERVABILITY.md).
 //
-// PR 1's MetricsRegistry keys metrics by std::string and looks them up in a
-// std::map — fine for end-of-run dumps, unusable at millions of events per
-// second. Here every metric is a compile-time id into fixed arrays, so the
-// record path is an index computation plus one relaxed atomic op and the
-// name only materialises at exposition time. Shard is a first-class label
-// dimension from day one: the sharded multi-core engine (ROADMAP item 1)
-// reports through the same ids with one cell block per shard.
+// Every metric is a compile-time id into fixed arrays, so the record path is
+// an index computation plus one relaxed atomic op and the name only
+// materialises at exposition time. The rt engines and the simulator
+// (through telemetry::TraceSink, trace_sink.h) report through the same ids.
+// Shard is a first-class label dimension: the sharded engine keeps one cell
+// block per shard, and the simulator reports at shard 0.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +67,17 @@ enum class GaugeId : uint16_t {
                         // dead (killed or budget-exhausted), else 0
   kLastStallStage,      // per shard: StallStage of the latest stall as a
                         // number (-1 none .. 3 killed), live during the run
+  // Simulator run, written at shard 0 by config::run_experiment at the end
+  // of the run.
+  kSimEventsExecuted,   // events dispatched
+  kSimEventsScheduled,  // events scheduled
+  kSimPendingEvents,    // events still queued
+  kSimMaxPendingEvents, // peak event-queue depth
+  kSimNow,              // simulation clock (s)
+  // Scheduler virtual time, from the trace stream (telemetry::TraceSink).
+  kVtime,               // v(t) after the latest dequeue or vtime event (s)
+  kVtimeLag,            // max finish tag assigned - v(t): the backlog in the
+                        // virtual-time domain (s)
   kCount,
 };
 inline constexpr std::size_t kGaugeCount =
@@ -88,8 +98,7 @@ enum class HistId : uint16_t {
 inline constexpr std::size_t kHistCount =
     static_cast<std::size_t>(HistId::kCount);
 
-// Dotted names, consistent with the PR-1 registry catalogue so bridged
-// snapshots land under predictable keys.
+// Dotted names, as /metrics.json and `sfq_lab --metrics` print them.
 constexpr const char* name(CounterId id) {
   constexpr const char* kNames[kCounterCount] = {
       "rt.ingress_pushed", "rt.ingress_drops",
@@ -114,6 +123,10 @@ constexpr const char* name(GaugeId id) {
       "fairness.root_gap",  "fairness.root_gap_max",
       "fairness.root_bound", "rt.overload_state_worst",
       "rt.shard_stalled",   "rt.last_stall_stage",
+      "sim.events_executed", "sim.events_scheduled",
+      "sim.pending_events", "sim.max_pending_events",
+      "sim.now",            "sched.vtime",
+      "sched.vtime_lag",
   };
   return kNames[static_cast<std::size_t>(id)];
 }
@@ -157,6 +170,10 @@ constexpr const char* prometheus_name(GaugeId id) {
       "sfq_fairness_root_bound_seconds",
       "sfq_overload_state_worst",
       "sfq_shard_stalled",        "sfq_last_stall_stage",
+      "sfq_sim_events_executed",  "sfq_sim_events_scheduled",
+      "sfq_sim_pending_events",   "sfq_sim_max_pending_events",
+      "sfq_sim_now_seconds",      "sfq_vtime_seconds",
+      "sfq_vtime_lag_seconds",
   };
   return kNames[static_cast<std::size_t>(id)];
 }

@@ -8,7 +8,9 @@
 //   * RingBufferSink  — last-N events in memory, for tests and post-mortems,
 //   * JsonlSink       — one JSON object per line, for offline analysis,
 //   * NullSink        — swallows everything (benchmark parity),
-//   * MetricsSink     — aggregates into a MetricsRegistry (obs/metrics.h),
+//   * telemetry::TraceSink — records into a telemetry plane, the metrics
+//                       model the rt engines report through
+//                       (obs/telemetry/trace_sink.h),
 //   * InvariantChecker— validates SFQ semantics online (obs/invariant_checker.h).
 //
 // Cost model: components hold a `Tracer*` that is nullptr by default, and

@@ -7,17 +7,16 @@
 
 namespace sfq::rt {
 
-// Thread-safe adapter around any TraceSink (obs/trace.h), so PR 1's
-// observability stack — MetricsSink into a MetricsRegistry, the online
-// InvariantChecker, JSONL writers — works on live wall-clock runs.
+// Thread-safe adapter around any TraceSink (obs/trace.h), so the
+// simulator's observability stack — the online InvariantChecker, JSONL
+// writers, ring buffers — works on live wall-clock runs.
 //
 // The RtEngine dispatcher emits every trace event from its own thread, so a
 // sink's internal state is single-writer; what needs serialising is *reads*
-// from other threads while the run is in flight (a monitor thread polling a
-// MetricsRegistry, a test asserting on the checker mid-run). SyncSink wraps
-// each on_event/finish in a mutex and exposes locked() so readers can
-// inspect the inner sink (and anything it writes into, e.g. the registry)
-// under the same mutex.
+// from other threads while the run is in flight (a test asserting on the
+// checker mid-run). SyncSink wraps each on_event/finish in a mutex and
+// exposes locked() so readers can inspect the inner sink under the same
+// mutex.
 //
 // After RtEngine::stop() returns, the dispatcher has been joined, so
 // reading the inner sink directly — without locked() — is also safe.

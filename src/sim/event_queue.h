@@ -40,7 +40,6 @@ enum class EventOp : uint8_t {
   kSourceTick,       // source emission scheduled for `t0`, size `bits`
   kChurnLeave,       // remove `flow` from the target server
   kChurnJoin,        // rejoin `flow` at the target server
-  kTimer,            // target-defined timer (rt paced service)
 };
 
 // One scheduled event. A small tagged struct rather than a closure: typed

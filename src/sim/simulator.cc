@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/metrics.h"
-
 namespace sfq::sim {
 
 void Simulator::throw_past_event() {
@@ -23,23 +21,10 @@ EventId Simulator::at(Time when, Event ev) {
 void Simulator::run_until(Time deadline) {
   while (!events_.empty() && events_.next_time() <= deadline) dispatch_next();
   if (deadline > now_ && deadline != kTimeInfinity) now_ = deadline;
-  publish_metrics();
 }
 
 void Simulator::run() {
   while (!events_.empty()) dispatch_next();
-  publish_metrics();
-}
-
-void Simulator::publish_metrics() {
-  if (!metrics_) return;
-  obs::MetricsRegistry& m = *metrics_;
-  // Counters are cumulative; set-to-current keeps re-publication idempotent.
-  m.gauge("sim.events_executed").set(static_cast<double>(executed_));
-  m.gauge("sim.events_scheduled").set(static_cast<double>(scheduled_));
-  m.gauge("sim.pending_events").set(static_cast<double>(events_.size()));
-  m.gauge("sim.max_pending_events").set(static_cast<double>(max_pending_));
-  m.gauge("sim.now").set(now_);
 }
 
 }  // namespace sfq::sim

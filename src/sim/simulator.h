@@ -6,10 +6,6 @@
 
 #include "sim/event_queue.h"
 
-namespace sfq::obs {
-class MetricsRegistry;
-}
-
 namespace sfq::sim {
 
 // The simulation clock plus event queue. All components hold a Simulator&
@@ -65,11 +61,6 @@ class Simulator {
   uint64_t events_scheduled() const { return scheduled_; }
   std::size_t max_pending_events() const { return max_pending_; }
 
-  // Publishes the counters above into `reg` at the end of every run/run_until
-  // (sim.events_executed, sim.events_scheduled, sim.pending_events,
-  // sim.max_pending_events, sim.now). nullptr detaches.
-  void set_metrics(obs::MetricsRegistry* reg) { metrics_ = reg; }
-
  private:
   // Zero-copy dispatch: the event is run in place in the queue's slab
   // (stable chunk addresses) and its slot recycled afterwards. Handlers may
@@ -99,14 +90,12 @@ class Simulator {
     if (events_.size() > max_pending_) max_pending_ = events_.size();
     return id;
   }
-  void publish_metrics();
 
   EventQueue events_;
   Time now_ = 0.0;
   uint64_t executed_ = 0;
   uint64_t scheduled_ = 0;
   std::size_t max_pending_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace sfq::sim

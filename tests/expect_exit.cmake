@@ -2,9 +2,6 @@
 # EXPECT within 30 seconds (a hang is killed and fails the test):
 #
 #   cmake -DEXPECT=2 -P expect_exit.cmake -- <program> [args...]
-#
-# EXPECT=failure accepts any unsuccessful end other than the timeout: a
-# non-zero status or an abort on an uncaught exception.
 set(cmd)
 set(after_dashes OFF)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -16,10 +13,6 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE status TIMEOUT 30)
-if(EXPECT STREQUAL "failure")
-  if(status STREQUAL "0" OR status MATCHES "timeout")
-    message(FATAL_ERROR "expected the command to fail, got ${status}")
-  endif()
-elseif(NOT status STREQUAL EXPECT)
+if(NOT status STREQUAL EXPECT)
   message(FATAL_ERROR "expected exit status ${EXPECT}, got ${status}")
 endif()

@@ -1,6 +1,6 @@
 // Tests for the hot-path telemetry plane (src/obs/telemetry/):
 // histogram bucket math, concurrent recording consistency, exposition
-// formats and the HTTP stats endpoint.
+// formats, the simulator's metrics document and the HTTP stats endpoint.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,10 +13,12 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "config/experiment.h"
 #include "obs/telemetry/exposition.h"
 #include "obs/telemetry/histogram.h"
 #include "obs/telemetry/metric_ids.h"
@@ -314,6 +316,69 @@ TEST(TelemetryExposition, PrometheusMatchesGolden) {
 
 TEST(TelemetryExposition, JsonMatchesGolden) {
   expect_golden("telemetry.json", tel::to_json(golden_snapshot()));
+}
+
+// --- The simulator on the plane -----------------------------------------------
+
+namespace {
+
+// The "total" of counter `name` in a to_json document.
+uint64_t counter_total(const std::string& doc, const std::string& name) {
+  const std::string key = "\"" + name + "\":{\"total\":";
+  const std::size_t at = doc.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no counter " << name;
+    return 0;
+  }
+  return std::stoull(doc.substr(at + key.size()));
+}
+
+}  // namespace
+
+// A faulted run's drops land in the sched.drops.* counters the rt engine
+// writes, one to one with the run's own per-cause ledger, and rt.transmitted
+// counts the packets the (single) hop delivered.
+TEST(SimTelemetry, PlaneCountersMatchTheRunsLedger) {
+  sfq::config::ExperimentSpec spec = sfq::config::ExperimentSpec::parse_file(
+      std::string(SFQ_EXAMPLES_CONFIG_DIR) + "/faulty_link.conf");
+  ASSERT_EQ(spec.hops.size(), 1u);
+  spec.obs.metrics_json = ::testing::TempDir() + "faulty_link.metrics.json";
+  const sfq::config::ExperimentResult r = sfq::config::run_experiment(spec);
+  const std::string& doc = r.metrics_json;
+  ASSERT_GE(r.drop_causes.size(), 3u) << doc;
+  for (std::size_t c = 1; c < sfq::obs::kDropCauseCount; ++c) {
+    const char* cause =
+        sfq::obs::to_string(static_cast<sfq::obs::DropCause>(c));
+    uint64_t expected = 0;
+    for (const auto& [name, n] : r.drop_causes)
+      if (name == cause) expected = n;
+    EXPECT_EQ(counter_total(doc, std::string("sched.drops.") + cause), expected)
+        << cause;
+  }
+  uint64_t delivered = 0;
+  for (const sfq::config::FlowResult& f : r.flows)
+    delivered += f.packets_delivered;
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(counter_total(doc, "rt.transmitted"), delivered);
+}
+
+// `sfq_lab --metrics` on a short fixed config, byte for byte: counters from
+// the first hop's trace stream, backlog and virtual-time gauges, the sim
+// event-loop gauges and the queue-delay histogram. Refresh like the
+// exposition goldens (SFQ_UPDATE_GOLDEN=1).
+TEST(SimTelemetry, MetricsDocumentMatchesGolden) {
+  std::istringstream in(
+      "scheduler SFQ\n"
+      "link rate=1Mbps buffer=8\n"
+      "duration 1s\n"
+      "flow name=voice kind=cbr     rate=64Kbps  packet=160B\n"
+      "flow name=data  kind=poisson rate=400Kbps packet=1000B seed=3\n"
+      "flow name=bulk  kind=greedy  packet=1500B weight=500Kbps\n");
+  sfq::config::ExperimentSpec spec = sfq::config::ExperimentSpec::parse(in);
+  spec.obs.metrics_json = ::testing::TempDir() + "sim_metrics.json";
+  const sfq::config::ExperimentResult r = sfq::config::run_experiment(spec);
+  ASSERT_GT(counter_total(r.metrics_json, "sched.drops.buffer_limit"), 0u);
+  expect_golden("sim_metrics.json", r.metrics_json);
 }
 
 // --- HTTP stats endpoint ------------------------------------------------------

@@ -8,9 +8,8 @@
 #include <vector>
 
 #include "core/sfq_scheduler.h"
-#include "obs/metrics.h"
-#include "obs/telemetry/exposition.h"
 #include "obs/telemetry/telemetry.h"
+#include "obs/telemetry/trace_sink.h"
 #include "obs/trace.h"
 
 namespace sfq {
@@ -177,72 +176,75 @@ TEST(JsonlSink, RoundTripsTimestampsAtFullPrecision) {
   EXPECT_NE(out.str().find("0.30000000000000004"), std::string::npos);
 }
 
-// --- Registry histograms share the telemetry renderer --------------------
+// --- telemetry::TraceSink drop taxonomy ------------------------------------
 
-// The JSON object that follows `key` in `json`, up to its closing brace
-// (histogram summaries hold no nested objects).
-std::string object_after(const std::string& json, const std::string& key) {
-  const std::size_t k = json.find(key);
-  if (k == std::string::npos) return {};
-  const std::size_t open = json.find('{', k + key.size());
-  const std::size_t close = json.find('}', open);
-  if (open == std::string::npos || close == std::string::npos) return {};
-  return json.substr(open, close - open + 1);
-}
-
-TEST(RegistryHistogram, JsonObjectMatchesTelemetryRenderer) {
-  // One bucket layout, one quantile routine, one renderer: the same samples
-  // recorded into a registry histogram and a telemetry HistId render to the
-  // same JSON summary object, byte for byte.
+TEST(TelemetryTraceSink, EmitsAllDropCauses) {
   namespace tel = obs::telemetry;
-  obs::MetricsRegistry reg;
   tel::Telemetry plane;
-  for (double s : {3e-9, 40e-9, 2.5e-6, 180e-6, 1.2e-3, 1.25e-3, 0.4, 7.0}) {
-    reg.histogram("flow.voice.delay").record_seconds(s);
-    plane.hist(tel::HistId::kQueueDelay, 0).record_seconds(s);
-  }
-  const std::string from_reg =
-      object_after(reg.json(), "\"flow.voice.delay\":");
-  const std::string from_plane = object_after(
-      tel::to_json(plane.snapshot()),
-      std::string("\"") + tel::name(tel::HistId::kQueueDelay) + "\":[");
-  ASSERT_FALSE(from_reg.empty());
-  EXPECT_EQ(from_reg, from_plane);
-  EXPECT_NE(from_reg.find("\"count\":8,"), std::string::npos) << from_reg;
-  for (const char* key : {"\"p50_s\":", "\"p99_s\":", "\"max_s\":"})
-    EXPECT_NE(from_reg.find(key), std::string::npos) << key;
-}
-
-// --- MetricsSink drop taxonomy ---------------------------------------------
-
-TEST(MetricsSink, EmitsAllDropCauses) {
-  obs::MetricsRegistry reg;
-  obs::MetricsSink sink(reg);
-  // Every cause counter is materialized as a zero up front — including
-  // shed, the overload-admission cause.
-  for (const char* name :
-       {"sched.drops.buffer_limit", "sched.drops.unknown_flow",
-        "sched.drops.fault_loss", "sched.drops.corrupt",
-        "sched.drops.pushout", "sched.drops.flow_removed",
-        "sched.drops.shed"}) {
-    EXPECT_EQ(reg.counter(name).value(), 0u) << name;
-  }
+  tel::TraceSink sink(plane);
   const obs::DropCause causes[] = {
       obs::DropCause::kBufferLimit, obs::DropCause::kUnknownFlow,
       obs::DropCause::kFaultLoss,   obs::DropCause::kCorrupt,
       obs::DropCause::kPushout,     obs::DropCause::kFlowRemoved,
       obs::DropCause::kShed,
   };
+  // A clean run reports every cause counter as an explicit zero —
+  // including shed, the overload-admission cause.
+  const tel::TelemetrySnapshot clean = plane.snapshot();
+  for (obs::DropCause c : causes)
+    EXPECT_EQ(clean.counter(tel::drop_counter(c), 0), 0u) << obs::to_string(c);
   for (obs::DropCause c : causes) {
     TraceEvent e = ev(TraceEventType::kDrop, 1, /*flow=*/0);
     e.drop_cause = c;
     sink.on_event(e);
     sink.on_event(e);
   }
+  const tel::TelemetrySnapshot snap = plane.snapshot();
   for (obs::DropCause c : causes) {
-    const std::string name = std::string("sched.drops.") + obs::to_string(c);
-    EXPECT_EQ(reg.counter(name).value(), 2u) << name;
+    const tel::CounterId id = tel::drop_counter(c);
+    EXPECT_EQ(snap.counter(id, 0), 2u) << obs::to_string(c);
+    EXPECT_EQ(std::string(tel::name(id)),
+              std::string("sched.drops.") + obs::to_string(c));
   }
+}
+
+TEST(TelemetryTraceSink, MapsLifecycleEventsToRtIds) {
+  namespace tel = obs::telemetry;
+  tel::Telemetry plane;
+  tel::TraceSink sink(plane);
+  TraceEvent e = ev(TraceEventType::kEnqueue, 1);
+  e.backlog = 3;
+  sink.on_event(e);
+  e = ev(TraceEventType::kTag, 1);
+  e.finish_tag = 5.0;
+  sink.on_event(e);
+  e = ev(TraceEventType::kDequeue, 1);
+  e.vtime = 2.0;
+  e.backlog = 2;
+  sink.on_event(e);
+  e = ev(TraceEventType::kTxEnd, 1);
+  e.length_bits = 1200.0;
+  e.arrival = 1.0;
+  e.t = 1.25;
+  sink.on_event(e);
+
+  const tel::TelemetrySnapshot snap = plane.snapshot();
+  EXPECT_EQ(snap.counter(tel::CounterId::kAccepted, 0), 1u);
+  EXPECT_EQ(snap.counter(tel::CounterId::kTransmitted, 0), 1u);
+  EXPECT_EQ(snap.counter(tel::CounterId::kTxBits, 0), 1200u);
+  EXPECT_EQ(snap.gauge(tel::GaugeId::kBacklogPackets, 0), 2.0);
+  EXPECT_EQ(snap.gauge(tel::GaugeId::kVtime, 0), 2.0);
+  EXPECT_EQ(snap.gauge(tel::GaugeId::kVtimeLag, 0), 3.0);
+  const auto& delay = snap.hist(tel::HistId::kQueueDelay, 0);
+  EXPECT_EQ(delay.count, 1u);
+  EXPECT_NEAR(delay.max_s(), 0.25, 0.25 * 0.04);
+
+  // A busy-period jump to the max finish tag closes the lag.
+  e = ev(TraceEventType::kVtime, 0);
+  e.vtime = 5.0;
+  sink.on_event(e);
+  EXPECT_EQ(plane.gauge(tel::GaugeId::kVtime), 5.0);
+  EXPECT_EQ(plane.gauge(tel::GaugeId::kVtimeLag), 0.0);
 }
 
 }  // namespace
