@@ -11,7 +11,8 @@
 //                    sfq_serve's /metrics.json serves ("-" = stdout)
 //   --check          run the online invariant checker; exit 1 on violations
 //
-// A malformed config or an output file that cannot be opened prints a
+// A malformed config, an output file that cannot be opened, an unknown
+// flag, a flag without its value or a second config path prints a
 // diagnostic and exits 2.
 //
 // Fault injection (equivalent to `fault` directives; docs/ROBUSTNESS.md):
@@ -97,12 +98,23 @@ int main(int argc, char** argv) {
   std::string file, trace_file, metrics_file, faults;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const bool takes_value =
+        arg == "--trace" || arg == "--metrics" || arg == "--faults";
+    if (takes_value && i + 1 >= argc) {
+      std::fprintf(stderr, "sfq_lab: %s needs a value\n", arg.c_str());
+      return 2;
+    }
     if (arg == "--sweep") sweep = true;
     else if (arg == "--check") check = true;
-    else if (arg == "--trace" && i + 1 < argc) trace_file = argv[++i];
-    else if (arg == "--metrics" && i + 1 < argc) metrics_file = argv[++i];
-    else if (arg == "--faults" && i + 1 < argc) faults = argv[++i];
-    else file = arg;
+    else if (arg == "--trace") trace_file = argv[++i];
+    else if (arg == "--metrics") metrics_file = argv[++i];
+    else if (arg == "--faults") faults = argv[++i];
+    else if (arg.starts_with("-") || !file.empty()) {
+      std::fprintf(stderr, "sfq_lab: unexpected argument: %s\n", arg.c_str());
+      return 2;
+    } else {
+      file = arg;
+    }
   }
 
   // Load the config text so --faults directives can be appended before the

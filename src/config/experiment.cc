@@ -481,6 +481,13 @@ std::string num(double v) {
   return buf;
 }
 
+// Opens a `metrics json=`/`text=` file target ("-" is stdout, "" is off).
+void open_metrics_target(const std::string& target, std::ofstream& out) {
+  if (target.empty() || target == "-") return;
+  out.open(target);
+  if (!out) throw std::runtime_error("cannot write metrics file: " + target);
+}
+
 }  // namespace
 
 std::string ExperimentSpec::serialize() const {
@@ -678,6 +685,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   obs::Tracer tracer;
   std::optional<obs::telemetry::Telemetry> plane;
   obs::InvariantChecker* checker = nullptr;
+  std::ofstream metrics_json_out, metrics_text_out;
   const bool obs_on = spec.obs.enabled() || extra_sink != nullptr;
   if (extra_sink != nullptr) tracer.add_sink(extra_sink);
   if (obs_on) {
@@ -698,6 +706,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       tracer.own(std::move(c));
     }
     if (spec.obs.metrics_enabled()) {
+      // Opened before the run, like the trace file: an unwritable path
+      // fails before any event executes, not after the whole simulation.
+      open_metrics_target(spec.obs.metrics_json, metrics_json_out);
+      open_metrics_target(spec.obs.metrics_text, metrics_text_out);
       plane.emplace();
       tracer.own(std::make_unique<obs::telemetry::TraceSink>(*plane));
     }
@@ -785,18 +797,17 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       plane->set_gauge(GaugeId::kSimNow, sim.now());
       const obs::telemetry::TelemetrySnapshot snap = plane->snapshot();
       result.metrics_json = obs::telemetry::to_json(snap);
-      auto write_to = [](const std::string& target, const std::string& doc) {
+      auto write_to = [](const std::string& target, std::ofstream& file,
+                         const std::string& doc) {
         if (target.empty()) return;
-        if (target == "-") {
-          std::cout << doc;
-          return;
-        }
-        std::ofstream out(target);
+        std::ostream& out = target == "-" ? std::cout : file;
         if (!(out << doc))
           throw std::runtime_error("cannot write metrics file: " + target);
       };
-      write_to(spec.obs.metrics_json, result.metrics_json + "\n");
-      write_to(spec.obs.metrics_text, obs::telemetry::to_prometheus(snap));
+      write_to(spec.obs.metrics_json, metrics_json_out,
+               result.metrics_json + "\n");
+      write_to(spec.obs.metrics_text, metrics_text_out,
+               obs::telemetry::to_prometheus(snap));
     }
   }
   if (!multi_hop) {

@@ -12,6 +12,7 @@
 // trade on pop-heavy workloads (docs/PERFORMANCE.md).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -31,9 +32,10 @@ class IndexedHeap {
   std::size_t size() const { return heap_.size(); }
 
   // Pre-sizes both the entry storage and the id->position index so that
-  // pushes of ids < n never allocate (zero-alloc steady-state gates).
+  // pushes of ids < n never allocate (zero-alloc steady-state gates). Entry
+  // storage grows geometrically, so a caller may raise n step by step.
   void reserve(std::size_t n) {
-    heap_.reserve(n);
+    if (n > heap_.capacity()) heap_.reserve(std::max(n, 2 * heap_.capacity()));
     if (n > pos_.size()) pos_.resize(n, kAbsent);
   }
 
@@ -45,7 +47,7 @@ class IndexedHeap {
   void push(uint32_t id, const Key& key) {
     assert(!contains(id));
     ensure(id);
-    pos_[id] = heap_.size();
+    pos_[id] = static_cast<uint32_t>(heap_.size());
     heap_.push_back(Entry{key, id});
     sift_up(heap_.size() - 1);
   }
@@ -87,7 +89,7 @@ class IndexedHeap {
     pos_[id] = kAbsent;
     if (i + 1 != heap_.size()) {
       heap_[i] = heap_.back();
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = static_cast<uint32_t>(i);
       heap_.pop_back();
       if (!sift_up(i)) sift_down(i);
     } else {
@@ -105,7 +107,8 @@ class IndexedHeap {
     Key key;
     uint32_t id;
   };
-  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  // Positions are 32-bit like ids: the index costs 4 bytes per id.
+  static constexpr uint32_t kAbsent = 0xffffffffu;
 
   void ensure(uint32_t id) {
     if (id >= pos_.size()) pos_.resize(id + 1, kAbsent);
@@ -122,13 +125,13 @@ class IndexedHeap {
       const std::size_t parent = (i - 1) / Arity;
       if (!(e.key < heap_[parent].key)) break;
       heap_[i] = heap_[parent];
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = static_cast<uint32_t>(i);
       i = parent;
       moved = true;
     }
     if (moved) {
       heap_[i] = e;
-      pos_[e.id] = i;
+      pos_[e.id] = static_cast<uint32_t>(i);
     }
     return moved;
   }
@@ -146,18 +149,18 @@ class IndexedHeap {
         if (heap_[c].key < heap_[best].key) best = c;
       if (!(heap_[best].key < e.key)) break;
       heap_[i] = heap_[best];
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = static_cast<uint32_t>(i);
       i = best;
       moved = true;
     }
     if (moved) {
       heap_[i] = e;
-      pos_[e.id] = i;
+      pos_[e.id] = static_cast<uint32_t>(i);
     }
   }
 
   std::vector<Entry> heap_;
-  std::vector<std::size_t> pos_;
+  std::vector<uint32_t> pos_;
 };
 
 // Common heap key for tag-based schedulers: primary tag, explicit tie-break

@@ -67,7 +67,7 @@ HistogramSnapshot TelemetrySnapshot::hist_total(HistId id) const {
 uint64_t TelemetrySnapshot::drops_total(std::size_t shard) const {
   uint64_t n = 0;
   for (std::size_t c = static_cast<std::size_t>(CounterId::kDropBufferLimit);
-       c <= static_cast<std::size_t>(CounterId::kDropFlowRemoved); ++c)
+       c <= static_cast<std::size_t>(CounterId::kDropShed); ++c)
     n += counters[shard][c];
   return n;
 }

@@ -87,6 +87,7 @@ struct TelemetrySnapshot {
   }
   // Bucket-wise merge across shards.
   HistogramSnapshot hist_total(HistId id) const;
+  // Sum of one shard's drop-cause counters, shedding included.
   uint64_t drops_total(std::size_t shard) const;
 };
 

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
 
+#include "core/sfq_scheduler.h"
+#include "net/rate_profile.h"
+#include "net/scheduled_server.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "traffic/sources.h"
 
 namespace sfq::sim {
 namespace {
+
+// Departure stream of Simulator.PinnedDepartureDigest.
+constexpr uint64_t kPinnedDepartures = 24431;
+constexpr uint64_t kPinnedDrops = 111;
+constexpr uint64_t kPinnedDigest = 0x8b8010cb6e0adf24ull;
 
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
@@ -229,6 +241,221 @@ TEST(EventQueue, FuzzAgainstNaiveReference) {
     }
     EXPECT_EQ(got, want);
   }
+}
+
+// Seeded schedule/cancel/pop/peek streams against the naive reference, with
+// times chosen to land in every tier of the queue and on its edges: many
+// equal times, ticks exactly on (and one ulp around) the 4096-tick and
+// 2^24-tick block edges, times below the last pop, 0, negative values,
+// -inf, 1e12 and +inf. Cancels pick random live events, so they hit the
+// near heap, both wheel levels and the far heap. Each round also drains the
+// queue completely (through +inf) and keeps going, so the cursor's jump past
+// the far heap's last block and scheduling behind it are covered too.
+TEST(EventQueue, TieredQueueMatchesNaiveReference) {
+  struct RefEvent {
+    Time when;
+    uint64_t seq;
+    int tag;
+    bool alive;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTick = 1e-6;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed * 7919);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    EventQueue q;
+    std::vector<RefEvent> ref;
+    std::vector<std::pair<EventId, std::size_t>> live;  // queue id -> ref idx
+    std::vector<Time> used;  // earlier times, reused for exact ties
+    std::vector<int> got, want;
+    uint64_t seq = 0;
+    int next_tag = 0;
+    Time last_pop = 0.0;
+
+    auto pick_time = [&]() -> Time {
+      const double base = std::isfinite(last_pop) ? last_pop : 0.0;
+      const double edge_ulp[] = {-1.0, 0.0, 1.0};
+      switch (rng() % 14) {
+        case 0:
+          if (!used.empty()) return used[rng() % used.size()];
+          return base;
+        case 1: {  // a 4096-tick block edge near the last pop, +-1 ulp
+          const double k = std::floor(base / (4096 * kTick)) + rng() % 3;
+          const double e = k * 4096 * kTick;
+          const double d = edge_ulp[rng() % 3];
+          return d == 0.0 ? e : std::nextafter(e, d * kInf);
+        }
+        case 2: {  // a 2^24-tick block edge, +-1 ulp
+          const double k = std::floor(base / (16777216 * kTick)) + rng() % 3;
+          const double e = k * 16777216 * kTick;
+          const double d = edge_ulp[rng() % 3];
+          return d == 0.0 ? e : std::nextafter(e, d * kInf);
+        }
+        case 3:  // behind the last pop
+          return base - unit(rng) * 0.01;
+        case 4: {
+          const Time specials[] = {0.0, -0.0, -1.5, -kInf, 1e12, kInf};
+          return specials[rng() % 6];
+        }
+        case 5:
+        case 6:  // same or next few ticks
+          return base + static_cast<double>(rng() % 4) * kTick;
+        case 7:
+        case 8:  // within a 4096-tick block
+          return base + unit(rng) * 0.004;
+        case 9:
+        case 10:  // within a 2^24-tick block
+          return base + unit(rng) * 10.0;
+        case 11:  // a few blocks out
+          return base + unit(rng) * 100.0;
+        default:
+          return base + unit(rng) * 1e-3;
+      }
+    };
+    auto ref_min = [&]() {
+      std::size_t best = ref.size();
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        if (ref[i].alive && (best == ref.size() || ref[i].when < ref[best].when ||
+                             (ref[i].when == ref[best].when &&
+                              ref[i].seq < ref[best].seq)))
+          best = i;
+      return best;
+    };
+    auto pop_one = [&] {
+      const std::size_t best = ref_min();
+      const Time fired_at = q.run_one();
+      if (best == ref.size()) {
+        EXPECT_EQ(fired_at, kInf);
+        return false;
+      }
+      EXPECT_EQ(fired_at, ref[best].when);
+      want.push_back(ref[best].tag);
+      ref[best].alive = false;
+      live.erase(std::find_if(live.begin(), live.end(),
+                              [&](auto& e) { return e.second == best; }));
+      last_pop = fired_at;
+      return true;
+    };
+    // `schedule_pct` of the steps schedule; below ~40 the queue drains while
+    // scheduling continues, so the cursor crosses blocks (and migrates far
+    // blocks) with schedules and cancels landing around it.
+    auto run_steps = [&](int steps, uint64_t schedule_pct) {
+      for (int step = 0; step < steps; ++step) {
+        const uint64_t r = rng() % 100;
+        if (r < schedule_pct || live.empty()) {
+          const Time t = pick_time();
+          const int tag = next_tag++;
+          const EventId id = q.schedule(t, [tag, &got] { got.push_back(tag); });
+          ref.push_back(RefEvent{t, seq++, tag, true});
+          live.emplace_back(id, ref.size() - 1);
+          if (used.size() < 64) used.push_back(t);
+          else used[rng() % used.size()] = t;
+        } else if (r < schedule_pct + 18) {
+          const std::size_t pick = rng() % live.size();
+          q.cancel(live[pick].first);
+          ref[live[pick].second].alive = false;
+          if (rng() % 4 == 0) q.cancel(live[pick].first);
+          live.erase(live.begin() + pick);
+        } else if (r < schedule_pct + 23) {
+          const std::size_t best = ref_min();
+          EXPECT_EQ(q.next_time(), best == ref.size() ? kInf : ref[best].when);
+        } else {
+          pop_one();
+        }
+        ASSERT_EQ(q.size(), live.size()) << "step " << step;
+      }
+    };
+    for (int phase = 0; phase < 3; ++phase) {
+      run_steps(3000, 50);
+      run_steps(3000, 30);
+      while (pop_one()) {}
+      EXPECT_TRUE(q.empty());
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+// The cursor anchors at the last popped tick, so an event at exactly that
+// time, or earlier, scheduled after the pop still fires first and in
+// sequence order.
+TEST(EventQueue, SchedulingAtOrBehindTheLastPopFiresFirst) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(2.0, [&] { order.push_back(0); });
+  q.schedule(9.0, [&] { order.push_back(9); });
+  EXPECT_DOUBLE_EQ(q.run_one(), 2.0);
+  q.schedule(2.0, [&] { order.push_back(1); });
+  q.schedule(1.5, [&] { order.push_back(2); });
+  q.schedule(2.0, [&] { order.push_back(3); });
+  q.schedule(2.0000005, [&] { order.push_back(4); });
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.5);
+  while (q.run_one() != kTimeInfinity) {}
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 3, 4, 9}));
+}
+
+// 4,096 Zipf-weighted Poisson flows with churn through SFQ behind a
+// ScheduledServer for 2 simulated seconds: the FNV-1a digest of the
+// departure stream is pinned, so any change to the simulator's event order
+// (or to SFQ's decisions) fails here. The pinned value was produced by the
+// single-heap event queue this tiered one replaced.
+TEST(Simulator, PinnedDepartureDigest) {
+  constexpr std::size_t kFlows = 4096;
+  constexpr double kLink = 1e8;
+  constexpr double kBits = 8000.0;
+  Simulator sim;
+  SfqScheduler sched;
+  std::vector<double> share(kFlows);
+  double h = 0.0;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    // Rank r = f * 2654435761 mod 4096, a permutation (odd multiplier).
+    const std::size_t rank = (f * 2654435761u) % kFlows;
+    share[f] = std::pow(static_cast<double>(rank + 1), -1.1);
+    h += share[f];
+  }
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    share[f] /= h;
+    sched.add_flow(kLink * share[f], kBits);
+  }
+  net::ScheduledServer server(sim, sched,
+                              std::make_unique<net::ConstantRate>(kLink));
+  uint64_t digest = 0xcbf29ce484222325ull;
+  uint64_t departures = 0;
+  std::mt19937_64 churn_rng(77);
+  std::vector<FlowId> away;
+  server.set_departure([&](const Packet& p, Time t) {
+    uint64_t bits;
+    std::memcpy(&bits, &t, sizeof bits);
+    for (uint64_t v : {static_cast<uint64_t>(p.flow), p.seq, bits}) {
+      digest ^= v;
+      digest *= 0x100000001b3ull;
+    }
+    if (++departures % 50 != 0) return;
+    // One flow leaves; once 16 are out, the longest-absent one rejoins.
+    FlowId v;
+    do {
+      v = static_cast<FlowId>(churn_rng() % kFlows);
+    } while (std::find(away.begin(), away.end(), v) != away.end());
+    sim.at_flow(t, EventOp::kChurnLeave, &server, v);
+    away.push_back(v);
+    if (away.size() > 16) {
+      sim.at_flow(t, EventOp::kChurnJoin, &server, away.front());
+      away.erase(away.begin());
+    }
+  });
+  std::vector<std::unique_ptr<traffic::PoissonSource>> sources;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    sources.push_back(std::make_unique<traffic::PoissonSource>(
+        sim, static_cast<FlowId>(f),
+        [&server](Packet p) { server.inject(std::move(p)); },
+        0.98 * kLink * share[f], kBits, 1000 + f));
+    sources.back()->run(0.0, kTimeInfinity);
+  }
+  sim.run_until(2.0);
+  EXPECT_GT(departures, 20000u);
+  EXPECT_EQ(departures, kPinnedDepartures);
+  EXPECT_EQ(server.drops(), kPinnedDrops);
+  EXPECT_EQ(digest, kPinnedDigest);
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {

@@ -24,6 +24,7 @@
 #include "obs/telemetry/metric_ids.h"
 #include "obs/telemetry/stats_server.h"
 #include "obs/telemetry/telemetry.h"
+#include "obs/trace.h"
 
 namespace tel = sfq::obs::telemetry;
 
@@ -191,6 +192,7 @@ TEST(TelemetryPlane, ShardsAreIndependentLabelDimensions) {
   w0.inc(tel::CounterId::kAccepted, 5);
   w2.inc(tel::CounterId::kAccepted, 7);
   w2.drop(sfq::obs::DropCause::kPushout);
+  w2.drop(sfq::obs::DropCause::kShed);
   plane.record(tel::HistId::kServiceLag, 500, /*shard=*/2);
   plane.set_gauge(tel::GaugeId::kBacklogPackets, 9.0, /*shard=*/1);
 
@@ -200,7 +202,8 @@ TEST(TelemetryPlane, ShardsAreIndependentLabelDimensions) {
   EXPECT_EQ(s.counter(tel::CounterId::kAccepted, 2), 7u);
   EXPECT_EQ(s.counter_total(tel::CounterId::kAccepted), 12u);
   EXPECT_EQ(s.counter(tel::CounterId::kDropPushout, 2), 1u);
-  EXPECT_EQ(s.drops_total(2), 1u);
+  EXPECT_EQ(s.counter(tel::CounterId::kDropShed, 2), 1u);
+  EXPECT_EQ(s.drops_total(2), 2u);  // every cause, shedding included
   EXPECT_EQ(s.hist(tel::HistId::kServiceLag, 2).count, 1u);
   EXPECT_EQ(s.hist(tel::HistId::kServiceLag, 0).count, 0u);
   EXPECT_EQ(s.gauge(tel::GaugeId::kBacklogPackets, 1), 9.0);
@@ -379,6 +382,25 @@ TEST(SimTelemetry, MetricsDocumentMatchesGolden) {
   const sfq::config::ExperimentResult r = sfq::config::run_experiment(spec);
   ASSERT_GT(counter_total(r.metrics_json, "sched.drops.buffer_limit"), 0u);
   expect_golden("sim_metrics.json", r.metrics_json);
+}
+
+// An unwritable `metrics json=`/`text=` target fails before the simulation
+// runs, as an unwritable trace file does: the extra sink sees no event.
+TEST(SimTelemetry, UnwritableMetricsTargetThrowsBeforeTheRun) {
+  struct CountingSink final : sfq::obs::TraceSink {
+    uint64_t events = 0;
+    void on_event(const sfq::obs::TraceEvent&) override { ++events; }
+  };
+  for (const bool text : {false, true}) {
+    sfq::config::ExperimentSpec spec = sfq::config::ExperimentSpec::parse_file(
+        std::string(SFQ_EXAMPLES_CONFIG_DIR) + "/single_switch.conf");
+    (text ? spec.obs.metrics_text : spec.obs.metrics_json) =
+        "/nonexistent/dir/m.out";
+    CountingSink sink;
+    EXPECT_THROW(sfq::config::run_experiment(spec, &sink), std::runtime_error)
+        << (text ? "text" : "json");
+    EXPECT_EQ(sink.events, 0u) << (text ? "text" : "json");
+  }
 }
 
 // --- HTTP stats endpoint ------------------------------------------------------
