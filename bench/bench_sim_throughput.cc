@@ -82,28 +82,43 @@ double env_double(const char* name, double fallback) {
 
 // Steady-state measurement: one stack, Poisson sources at 0.9 utilisation,
 // warm-up until every pool/slab/heap reached its high-water mark, then a
-// measured window under the allocation guard.
+// measured window under the allocation guard. With `two_hop` the first
+// server's departures reach a second server after a propagation delay as
+// kArrival events, so packets in flight between hops sit in the event
+// queue's packet slab; packets count when they leave the second server.
 struct SteadyResult {
   double pkts_per_sec = 0.0;
   uint64_t packets = 0;
   uint64_t allocs = 0;
 };
 
-SteadyResult run_steady(const std::string& sched_name, int flows,
+SteadyResult run_steady(const std::string& sched_name, int flows, bool two_hop,
                         Time warm_until, Time window, int windows) {
+  constexpr Time kPropagation = 1e-3;
   const Time measure_until = warm_until + window * windows;
   sim::Simulator sim;
   auto sched = bench::make_scheduler(sched_name, 1e6, 1500.0);
   net::ScheduledServer server(sim, *sched,
                               std::make_unique<net::ConstantRate>(1e6));
+  auto sched2 = bench::make_scheduler(sched_name, 1e6, 1500.0);
+  net::ScheduledServer hop2(sim, *sched2,
+                            std::make_unique<net::ConstantRate>(1e6));
   uint64_t delivered = 0;
-  server.set_departure([&](const Packet&, Time) { ++delivered; });
+  auto count = [&](const Packet&, Time) { ++delivered; };
+  hop2.set_departure(count);
+  if (two_hop)
+    server.set_departure([&](const Packet& p, Time t) {
+      sim.at_packet(t + kPropagation, sim::EventOp::kArrival, &hop2, p);
+    });
+  else
+    server.set_departure(count);
   std::vector<std::unique_ptr<traffic::Source>> src;
   auto emit = [&](Packet p) { server.inject(std::move(p)); };
   // Sources start once the pre-growth burst (below) has drained.
   const Time sources_start = 3.0;
   for (int i = 0; i < flows; ++i) {
-    FlowId id = sched->add_flow(1e6 / flows, 1000.0);
+    const FlowId id = sched->add_flow(1e6 / flows, 1000.0);
+    sched2->add_flow(1e6 / flows, 1000.0);  // the same id at the second hop
     src.push_back(std::make_unique<traffic::PoissonSource>(
         sim, id, emit, 0.9 * 1e6 / flows, 1000.0, 7 + i));
     src.back()->run(sources_start, measure_until);
@@ -158,6 +173,7 @@ int steady_state_phase() {
   struct Case {
     const char* sched;
     int flows;
+    bool two_hop;
     bool alloc_gated;  // zero steady-state heap allocations enforced
     bool floor_gated;  // throughput floor enforced (the SFQ hot path)
     bool headline;  // compared against SFQ_PERF_BASELINE_PPS (an SFQ/4 value)
@@ -165,21 +181,26 @@ int steady_state_phase() {
   // SFQ is the paper's subject and the gated hot path. WFQ's GPS emulation
   // became allocation-free when its event list moved to a ring buffer, so it
   // is alloc-gated too; its throughput stays a reference point (GPS
-  // simulation cost is measured, not floored). The baseline ratio applies to
-  // SFQ/4 only — that is the scenario the committed baseline snapshot
-  // records.
-  const Case cases[] = {{"SFQ", 4, true, true, true},
-                        {"SFQ", 64, true, true, false},
-                        {"WFQ", 64, true, false, false}};
+  // simulation cost is measured, not floored). SFQ/4-2hop gates the packets
+  // in flight between hops (kArrival events) on zero allocations; each of
+  // its packets costs two servers, so it has no floor. The baseline ratio
+  // applies to SFQ/4 only — that is the scenario the committed baseline
+  // snapshot records.
+  const Case cases[] = {{"SFQ", 4, false, true, true, true},
+                        {"SFQ", 64, false, true, true, false},
+                        {"WFQ", 64, false, true, false, false},
+                        {"SFQ", 4, true, true, false, false}};
 
   for (const Case& c : cases) {
-    const SteadyResult r = run_steady(c.sched, c.flows, /*warm_until=*/5.0,
-                                      /*window=*/50.0, /*windows=*/8);
+    const SteadyResult r =
+        run_steady(c.sched, c.flows, c.two_hop, /*warm_until=*/5.0,
+                   /*window=*/50.0, /*windows=*/8);
     const double allocs_per_pkt =
         r.packets ? static_cast<double>(r.allocs) / r.packets : 0.0;
     const std::string scen =
-        std::string(c.sched) + "/" + std::to_string(c.flows);
-    std::printf("%-8s pkts/s=%.3g  packets=%llu  allocs=%llu (%.4f/pkt)\n",
+        std::string(c.sched) + "/" + std::to_string(c.flows) +
+        (c.two_hop ? "-2hop" : "");
+    std::printf("%-10s pkts/s=%.3g  packets=%llu  allocs=%llu (%.4f/pkt)\n",
                 scen.c_str(), r.pkts_per_sec,
                 static_cast<unsigned long long>(r.packets),
                 static_cast<unsigned long long>(r.allocs), allocs_per_pkt);

@@ -42,10 +42,10 @@ void MultiPriorityServer::try_start() {
   }
 }
 
-void MultiPriorityServer::on_event(sim::Event& ev, Time now) {
+void MultiPriorityServer::on_event(const sim::Event& ev, Time now) {
   if (ev.op != sim::EventOp::kServiceComplete) return;
   const std::size_t b = ev.aux;
-  const Packet& p = ev.packet;
+  const Packet& p = sim_.packet(ev);
   busy_ = false;
   bands_[b]->on_transmit_complete(p, now);
   if (recorders_[b])

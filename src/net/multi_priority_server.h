@@ -41,7 +41,7 @@ class MultiPriorityServer : public sim::EventTarget {
   bool busy() const { return busy_; }
 
  private:
-  void on_event(sim::Event& ev, Time now) override;  // aux = band
+  void on_event(const sim::Event& ev, Time now) override;  // aux = band
   void try_start();
 
   sim::Simulator& sim_;

@@ -50,9 +50,9 @@ void PriorityServer::try_start() {
                  /*t0=*/now, kLowBand);
 }
 
-void PriorityServer::on_event(sim::Event& ev, Time now) {
+void PriorityServer::on_event(const sim::Event& ev, Time now) {
   if (ev.op != sim::EventOp::kServiceComplete) return;
-  const Packet& p = ev.packet;
+  const Packet& p = sim_.packet(ev);
   busy_ = false;
   if (ev.aux == kHighBand) {
     if (on_high_dep_) on_high_dep_(p, now);

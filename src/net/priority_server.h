@@ -44,7 +44,7 @@ class PriorityServer : public sim::EventTarget {
   static constexpr uint32_t kLowBand = 0;
   static constexpr uint32_t kHighBand = 1;
 
-  void on_event(sim::Event& ev, Time now) override;
+  void on_event(const sim::Event& ev, Time now) override;
   void try_start();
 
   sim::Simulator& sim_;

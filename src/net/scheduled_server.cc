@@ -116,8 +116,8 @@ void ScheduledServer::try_start() {
   if (trace_on_) [[unlikely]]
     tracer_->emit(obs::make_event(obs::TraceEventType::kTxStart, *next, now,
                                   /*vtime=*/0.0, sched_.backlog_packets()));
-  // The in-flight packet rides in the typed completion event (the event
-  // queue's slab); schedulers keep no reference to in-flight packets.
+  // The in-flight packet rides with the typed completion event (in the event
+  // queue's packet slab); schedulers keep no reference to in-flight packets.
   sim_.at_packet(finish, sim::EventOp::kServiceComplete, this, *next,
                  /*t0=*/now);
 }
@@ -136,13 +136,14 @@ void ScheduledServer::complete_transmission(const Packet& p, Time start,
   try_start();
 }
 
-void ScheduledServer::on_event(sim::Event& ev, Time now) {
+void ScheduledServer::on_event(const sim::Event& ev, Time now) {
   switch (ev.op) {
     case sim::EventOp::kServiceComplete:
-      complete_transmission(ev.packet, /*start=*/ev.t0, /*finish=*/now);
+      complete_transmission(sim_.packet(ev), /*start=*/ev.t0,
+                            /*finish=*/now);
       break;
     case sim::EventOp::kArrival:
-      inject(std::move(ev.packet));
+      inject(sim_.packet(ev));
       break;
     case sim::EventOp::kChurnLeave:
       remove_flow(ev.flow);

@@ -32,8 +32,8 @@ enum class OverloadPolicy {
 //
 // As a sim::EventTarget the server consumes typed events: its own
 // kServiceComplete (scheduled by try_start; the in-flight packet lives in
-// the event slab, not in a closure), kArrival from upstream hops
-// (network/mesh propagation), and kChurnLeave/kChurnJoin from the fault
+// the event queue's packet slab, not in a closure), kArrival from upstream
+// hops (network/mesh propagation), and kChurnLeave/kChurnJoin from the fault
 // injector. None of these allocate in steady state.
 class ScheduledServer : public sim::EventTarget {
  public:
@@ -100,7 +100,7 @@ class ScheduledServer : public sim::EventTarget {
   }
 
  private:
-  void on_event(sim::Event& ev, Time now) override;
+  void on_event(const sim::Event& ev, Time now) override;
   void complete_transmission(const Packet& p, Time start, Time finish);
   void try_start();
   bool drop(Packet&& p, Time now, obs::DropCause cause);

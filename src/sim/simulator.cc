@@ -5,17 +5,12 @@
 namespace sfq::sim {
 
 void Simulator::throw_past_event() {
-  throw std::invalid_argument("Simulator: event in the past");
+  throw std::invalid_argument("Simulator: event in the past or at NaN");
 }
 
 EventId Simulator::at(Time when, std::function<void()> action) {
   check_future(when);
   return note_scheduled(events_.schedule(when, std::move(action)));
-}
-
-EventId Simulator::at(Time when, Event ev) {
-  check_future(when);
-  return note_scheduled(events_.schedule(when, ev));
 }
 
 void Simulator::run_until(Time deadline) {

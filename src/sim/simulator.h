@@ -19,12 +19,8 @@ class Simulator {
   Time now() const { return now_; }
 
   EventId at(Time when, std::function<void()> action);
-  EventId at(Time when, Event ev);
   EventId after(Time delay, std::function<void()> action) {
     return at(now_ + delay, std::move(action));
-  }
-  EventId after(Time delay, Event ev) {
-    return at(now_ + delay, std::move(ev));
   }
 
   // Hot-path typed scheduling (see EventQueue::schedule_packet &c.): the
@@ -45,6 +41,10 @@ class Simulator {
   }
 
   void cancel(EventId id) { events_.cancel(id); }
+
+  // The packet of the kArrival or kServiceComplete event being dispatched
+  // (it lives in the event queue's packet slab until the handler returns).
+  const Packet& packet(const Event& ev) const { return events_.packet(ev); }
 
   // Runs events until the queue drains or the clock would pass `deadline`
   // (events at exactly `deadline` run). The clock ends at
@@ -70,18 +70,12 @@ class Simulator {
     const uint32_t slot = events_.pop_in_place(when);
     now_ = when;
     ++executed_;
-    Event& ev = events_.event_at(slot);
-    if (ev.op == EventOp::kCallback) [[unlikely]] {
-      auto fn = events_.detach_callback(ev);
-      events_.finish_pop(slot);
-      fn();  // may outlive the slot; closure already detached
-    } else {
-      ev.target->on_event(ev, now_);
-      events_.finish_pop(slot);
-    }
+    events_.dispatch(slot, when);
   }
+  // Written so that NaN fails too: NaN is no point in time, and were it
+  // ever the clock, every later time would pass a `when < now_` test.
   void check_future(Time when) const {
-    if (when < now_) [[unlikely]]
+    if (!(when >= now_)) [[unlikely]]
       throw_past_event();
   }
   [[noreturn]] static void throw_past_event();

@@ -14,7 +14,7 @@ void Source::schedule_tick(Time when, double bits) {
   sim_.at_tick(when, this, bits);
 }
 
-void Source::on_event(sim::Event& ev, Time now) {
+void Source::on_event(const sim::Event& ev, Time now) {
   if (ev.op != sim::EventOp::kSourceTick) return;
   tick(now, ev.bits);
 }

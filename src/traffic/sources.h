@@ -47,7 +47,7 @@ class Source : public sim::EventTarget {
   sim::Simulator& sim() { return sim_; }
 
  private:
-  void on_event(sim::Event& ev, Time now) override;
+  void on_event(const sim::Event& ev, Time now) override;
   void tick(Time scheduled, double bits);
   void schedule_tick(Time when, double bits);
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/sfq_scheduler.h"
@@ -22,6 +23,10 @@ namespace {
 constexpr uint64_t kPinnedDepartures = 24431;
 constexpr uint64_t kPinnedDrops = 111;
 constexpr uint64_t kPinnedDigest = 0x8b8010cb6e0adf24ull;
+// Departure stream of Simulator.PinnedLongHorizonDepartureDigest.
+constexpr uint64_t kPinnedLongDepartures = 38895;
+constexpr uint64_t kPinnedLongDrops = 165;
+constexpr uint64_t kPinnedLongDigest = 0x5582dc66737c59adull;
 
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
@@ -118,32 +123,109 @@ TEST(EventQueue, CancelReleasesCapturedStateEagerly) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-// Steady-state slab behaviour: a fire/reschedule cycle reuses freed slots
-// instead of growing the slab (the allocation-free hot path's foundation).
-TEST(EventQueue, SlabStopsGrowingOnceWarm) {
-  EventQueue q;
-  for (int i = 0; i < 8; ++i) q.schedule(1.0 + i, [] {});
-  const std::size_t warm = q.slab_slots();
-  for (int i = 0; i < 1000; ++i) {
-    q.run_one();
-    q.schedule(100.0 + i, [] {});
-  }
-  EXPECT_EQ(q.slab_slots(), warm);
-}
-
-// Typed events dispatch to their EventTarget with the payload intact.
+// Typed events dispatch to their EventTarget with the payload intact; a
+// packet op's target reads the packet from the queue while it runs.
 struct RecordingTarget : EventTarget {
+  explicit RecordingTarget(const EventQueue& q) : q(q) {}
+  const EventQueue& q;
   std::vector<Event> seen;
+  std::vector<Packet> packets;  // a packet op's payload, else Packet{}
   std::vector<Time> times;
-  void on_event(Event& ev, Time now) override {
+  void on_event(const Event& ev, Time now) override {
     seen.push_back(ev);
+    packets.push_back(carries_packet(ev.op) ? q.packet(ev) : Packet{});
     times.push_back(now);
   }
 };
 
+// Steady-state slab behaviour: a fire/reschedule cycle reuses freed slots
+// instead of growing the slab (the allocation-free hot path's foundation),
+// and so does the packet slab under a cycle of packet events.
+TEST(EventQueue, SlabStopsGrowingOnceWarm) {
+  EventQueue q;
+  RecordingTarget t(q);
+  Packet p;
+  // Callbacks and packet events alternate in time; each cycle fires one of
+  // each and schedules one of each behind the rest.
+  for (int i = 0; i < 8; ++i) {
+    q.schedule(1.0 + i, [] {});
+    q.schedule_packet(1.5 + i, EventOp::kArrival, &t, p);
+  }
+  const std::size_t warm = q.slab_slots();
+  const std::size_t warm_packets = q.packet_slots();
+  EXPECT_EQ(warm, 16u);
+  EXPECT_EQ(warm_packets, 8u);
+  for (int i = 0; i < 1000; ++i) {
+    q.run_one();
+    q.run_one();
+    q.schedule(100.0 + i, [] {});
+    q.schedule_packet(100.5 + i, EventOp::kServiceComplete, &t, p);
+  }
+  EXPECT_EQ(t.seen.size(), 1000u);
+  EXPECT_EQ(q.slab_slots(), warm);
+  EXPECT_EQ(q.packet_slots(), warm_packets);
+}
+
+// A packet event's packet-slab slot is given back when the event is
+// cancelled or run: each way, the next packet event reuses it.
+TEST(EventQueue, PacketSlotIsFreedByCancelAndRun) {
+  EventQueue q;
+  RecordingTarget t(q);
+  Packet p;
+  p.flow = 5;
+  p.seq = 1;
+  const EventId a = q.schedule_packet(1.0, EventOp::kArrival, &t, p);
+  EXPECT_EQ(q.packet_slots(), 1u);
+  q.cancel(a);
+  EXPECT_TRUE(q.empty());
+
+  p.seq = 3;
+  q.schedule_packet(3.0, EventOp::kServiceComplete, &t, p);
+  EXPECT_EQ(q.packet_slots(), 1u);  // the cancelled event's slot
+  EXPECT_DOUBLE_EQ(q.run_one(), 3.0);
+  ASSERT_EQ(t.packets.size(), 1u);
+  EXPECT_EQ(t.packets[0].flow, 5u);
+  EXPECT_EQ(t.packets[0].seq, 3u);
+
+  // The run event's slot is free again: of two packets pending at once, the
+  // first takes it and only the second grows the slab.
+  p.seq = 4;
+  q.schedule_packet(4.0, EventOp::kArrival, &t, p);
+  EXPECT_EQ(q.packet_slots(), 1u);
+  p.seq = 5;
+  q.schedule_packet(5.0, EventOp::kArrival, &t, p);
+  EXPECT_EQ(q.packet_slots(), 2u);
+  while (q.run_one() != kTimeInfinity) {}
+  ASSERT_EQ(t.packets.size(), 3u);
+  EXPECT_EQ(t.packets[1].seq, 4u);
+  EXPECT_EQ(t.packets[2].seq, 5u);
+}
+
+// A slot frees the payload its op names, so a packet schedule with an op
+// that carries no packet, or a churn schedule with one that does, would
+// corrupt a side slab: both throw before taking a slot.
+TEST(EventQueue, ScheduleRejectsAnOpThatDoesNotFit) {
+  EventQueue q;
+  RecordingTarget t(q);
+  Packet p;
+  EXPECT_THROW(q.schedule_packet(1.0, EventOp::kSourceTick, &t, p),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_packet(1.0, EventOp::kCallback, &t, p),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_flow(1.0, EventOp::kArrival, &t, 3),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_flow(1.0, EventOp::kServiceComplete, &t, 3),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_flow(1.0, EventOp::kCallback, &t, 3),
+               std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slab_slots(), 0u);
+  EXPECT_EQ(q.packet_slots(), 0u);
+}
+
 TEST(EventQueue, TypedEventsCarryPayloadToTarget) {
   EventQueue q;
-  RecordingTarget t;
+  RecordingTarget t(q);
   Packet p;
   p.flow = 3;
   p.seq = 17;
@@ -155,8 +237,9 @@ TEST(EventQueue, TypedEventsCarryPayloadToTarget) {
   while (q.run_one() != kTimeInfinity) {}
   ASSERT_EQ(t.seen.size(), 3u);
   EXPECT_EQ(t.seen[0].op, EventOp::kServiceComplete);
-  EXPECT_EQ(t.seen[0].packet.flow, 3u);
-  EXPECT_EQ(t.seen[0].packet.seq, 17u);
+  EXPECT_EQ(t.packets[0].flow, 3u);
+  EXPECT_EQ(t.packets[0].seq, 17u);
+  EXPECT_DOUBLE_EQ(t.packets[0].length_bits, 1000.0);
   EXPECT_DOUBLE_EQ(t.seen[0].t0, 0.25);
   EXPECT_EQ(t.seen[0].aux, 2u);
   EXPECT_EQ(t.seen[1].op, EventOp::kSourceTick);
@@ -168,7 +251,7 @@ TEST(EventQueue, TypedEventsCarryPayloadToTarget) {
 
 TEST(EventQueue, TypedEventsCancelLikeCallbacks) {
   EventQueue q;
-  RecordingTarget t;
+  RecordingTarget t(q);
   Packet p;
   p.flow = 1;
   EventId a = q.schedule_packet(1.0, EventOp::kArrival, &t, p);
@@ -246,11 +329,15 @@ TEST(EventQueue, FuzzAgainstNaiveReference) {
 // Seeded schedule/cancel/pop/peek streams against the naive reference, with
 // times chosen to land in every tier of the queue and on its edges: many
 // equal times, ticks exactly on (and one ulp around) the 4096-tick and
-// 2^24-tick block edges, times below the last pop, 0, negative values,
-// -inf, 1e12 and +inf. Cancels pick random live events, so they hit the
-// near heap, both wheel levels and the far heap. Each round also drains the
-// queue completely (through +inf) and keeps going, so the cursor's jump past
-// the far heap's last block and scheduling behind it are covered too.
+// 2^24-tick block edges, the first, last and other ticks of the blocks
+// 4095, 4096 and 4097 blocks past the last pop's (the edge of L1's sliding
+// window), far events that the window reaches as the cursor moves, times
+// below the last pop, 0, negative values, -inf, 1e12 and +inf. Cancels pick
+// random live events, so they hit the near heap, both wheel levels (L1
+// events also after the cursor has moved on) and the far heap. Each round
+// also drains the queue completely (through +inf) and keeps going, so the
+// cursor's jump to the far heap's top and scheduling behind it are covered
+// too.
 TEST(EventQueue, TieredQueueMatchesNaiveReference) {
   struct RefEvent {
     Time when;
@@ -276,7 +363,7 @@ TEST(EventQueue, TieredQueueMatchesNaiveReference) {
     auto pick_time = [&]() -> Time {
       const double base = std::isfinite(last_pop) ? last_pop : 0.0;
       const double edge_ulp[] = {-1.0, 0.0, 1.0};
-      switch (rng() % 14) {
+      switch (rng() % 17) {
         case 0:
           if (!used.empty()) return used[rng() % used.size()];
           return base;
@@ -309,6 +396,26 @@ TEST(EventQueue, TieredQueueMatchesNaiveReference) {
           return base + unit(rng) * 10.0;
         case 11:  // a few blocks out
           return base + unit(rng) * 100.0;
+        case 12:
+        case 13: {  // 4095, 4096 or 4097 blocks past the cursor's block:
+                    // L1's last block and the first two beyond it; first
+                    // tick (+-1 ulp), last tick or any tick of the block
+          const double k = std::floor(base / (4096 * kTick)) + 4095.0 +
+                           static_cast<double>(rng() % 3);
+          const double e = k * 4096 * kTick;
+          switch (rng() % 4) {
+            case 0: return e;
+            case 1: return std::nextafter(e, edge_ulp[rng() % 2 * 2] * kInf);
+            case 2: return e + 4095 * kTick;
+            default: return e + unit(rng) * 4096 * kTick;
+          }
+        }
+        case 14: {  // just past L1's window: far now, inside it a few
+                    // hundred blocks of cursor movement later
+          const double k = std::floor(base / (4096 * kTick)) + 4096.0 +
+                           static_cast<double>(rng() % 256);
+          return (k + unit(rng)) * 4096 * kTick;
+        }
         default:
           return base + unit(rng) * 1e-3;
       }
@@ -395,13 +502,19 @@ TEST(EventQueue, SchedulingAtOrBehindTheLastPopFiresFirst) {
 }
 
 // 4,096 Zipf-weighted Poisson flows with churn through SFQ behind a
-// ScheduledServer for 2 simulated seconds: the FNV-1a digest of the
-// departure stream is pinned, so any change to the simulator's event order
-// (or to SFQ's decisions) fails here. The pinned value was produced by the
-// single-heap event queue this tiered one replaced.
-TEST(Simulator, PinnedDepartureDigest) {
+// ScheduledServer, 8,000-bit packets offered at 0.98 of `link` bits/s: the
+// FNV-1a digest of the departure stream, so any change to the simulator's
+// event order (or to SFQ's decisions) changes it. `zipf_s` sets how unequal
+// the flows are: the flatter the shares, the slower the slowest flows and
+// the further ahead their source ticks are scheduled.
+struct DepartureRun {
+  uint64_t departures = 0;
+  uint64_t drops = 0;
+  uint64_t digest = 0xcbf29ce484222325ull;
+};
+
+DepartureRun run_departure_digest(double link, double zipf_s, Time until) {
   constexpr std::size_t kFlows = 4096;
-  constexpr double kLink = 1e8;
   constexpr double kBits = 8000.0;
   Simulator sim;
   SfqScheduler sched;
@@ -410,27 +523,26 @@ TEST(Simulator, PinnedDepartureDigest) {
   for (std::size_t f = 0; f < kFlows; ++f) {
     // Rank r = f * 2654435761 mod 4096, a permutation (odd multiplier).
     const std::size_t rank = (f * 2654435761u) % kFlows;
-    share[f] = std::pow(static_cast<double>(rank + 1), -1.1);
+    share[f] = std::pow(static_cast<double>(rank + 1), -zipf_s);
     h += share[f];
   }
   for (std::size_t f = 0; f < kFlows; ++f) {
     share[f] /= h;
-    sched.add_flow(kLink * share[f], kBits);
+    sched.add_flow(link * share[f], kBits);
   }
   net::ScheduledServer server(sim, sched,
-                              std::make_unique<net::ConstantRate>(kLink));
-  uint64_t digest = 0xcbf29ce484222325ull;
-  uint64_t departures = 0;
+                              std::make_unique<net::ConstantRate>(link));
+  DepartureRun run;
   std::mt19937_64 churn_rng(77);
   std::vector<FlowId> away;
   server.set_departure([&](const Packet& p, Time t) {
     uint64_t bits;
     std::memcpy(&bits, &t, sizeof bits);
     for (uint64_t v : {static_cast<uint64_t>(p.flow), p.seq, bits}) {
-      digest ^= v;
-      digest *= 0x100000001b3ull;
+      run.digest ^= v;
+      run.digest *= 0x100000001b3ull;
     }
-    if (++departures % 50 != 0) return;
+    if (++run.departures % 50 != 0) return;
     // One flow leaves; once 16 are out, the longest-absent one rejoins.
     FlowId v;
     do {
@@ -448,14 +560,35 @@ TEST(Simulator, PinnedDepartureDigest) {
     sources.push_back(std::make_unique<traffic::PoissonSource>(
         sim, static_cast<FlowId>(f),
         [&server](Packet p) { server.inject(std::move(p)); },
-        0.98 * kLink * share[f], kBits, 1000 + f));
+        0.98 * link * share[f], kBits, 1000 + f));
     sources.back()->run(0.0, kTimeInfinity);
   }
-  sim.run_until(2.0);
-  EXPECT_GT(departures, 20000u);
-  EXPECT_EQ(departures, kPinnedDepartures);
-  EXPECT_EQ(server.drops(), kPinnedDrops);
-  EXPECT_EQ(digest, kPinnedDigest);
+  sim.run_until(until);
+  run.drops = server.drops();
+  return run;
+}
+
+// Zipf 1.1 over a 100 Mb/s link for 2 simulated seconds. The pinned values
+// were produced by the single-heap event queue the tiered one replaced.
+TEST(Simulator, PinnedDepartureDigest) {
+  const DepartureRun run = run_departure_digest(1e8, 1.1, 2.0);
+  EXPECT_GT(run.departures, 20000u);
+  EXPECT_EQ(run.departures, kPinnedDepartures);
+  EXPECT_EQ(run.drops, kPinnedDrops);
+  EXPECT_EQ(run.digest, kPinnedDigest);
+}
+
+// Zipf 0.5 over an 8 Mb/s link for 40 simulated seconds: the slowest flows
+// send one packet every ~5 s, so source ticks are scheduled seconds ahead
+// (some more than 2^24 ticks, 16.8 s), and the run crosses two 2^24-tick
+// block edges (16.78 s and 33.55 s). The pinned values were produced by the
+// queue whose second wheel level was aligned to 2^24-tick blocks.
+TEST(Simulator, PinnedLongHorizonDepartureDigest) {
+  const DepartureRun run = run_departure_digest(8e6, 0.5, 40.0);
+  EXPECT_GT(run.departures, 30000u);
+  EXPECT_EQ(run.departures, kPinnedLongDepartures);
+  EXPECT_EQ(run.drops, kPinnedLongDrops);
+  EXPECT_EQ(run.digest, kPinnedLongDigest);
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
@@ -498,6 +631,30 @@ TEST(Simulator, PastEventThrows) {
   sim.at(1.0, [] {});
   sim.run();
   EXPECT_THROW(sim.at(0.5, [] {}), std::invalid_argument);
+}
+
+// NaN is no time: every way to schedule rejects it, before and after the
+// clock has moved, and the clock stays finite.
+TEST(Simulator, RejectsNaNEventTime) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Simulator sim;
+  const EventQueue unused;
+  RecordingTarget target(unused);
+  Packet p;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_THROW(sim.at(kNaN, [] {}), std::invalid_argument);
+    EXPECT_THROW(sim.after(kNaN, [] {}), std::invalid_argument);
+    EXPECT_THROW(sim.at_packet(kNaN, EventOp::kArrival, &target, p),
+                 std::invalid_argument);
+    EXPECT_THROW(sim.at_tick(kNaN, &target, 1.0), std::invalid_argument);
+    EXPECT_THROW(sim.at_flow(kNaN, EventOp::kChurnLeave, &target, 0),
+                 std::invalid_argument);
+    EXPECT_EQ(sim.pending_events(), 0u);
+    sim.at(1.0, [] {});
+    sim.run();
+    EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  }
+  EXPECT_TRUE(target.seen.empty());
 }
 
 }  // namespace
