@@ -25,8 +25,9 @@
 // aggregate-throughput ratio must reach >= 2.5x under SFQ_PERF_GATE=1 when
 // the machine has cores to back it (>= 2 per shard); elsewhere the ratio is
 // reported for the BENCH trajectory. A direct-offer pass under the
-// allocation guard then asserts the sharded steady state — route, remap,
-// ring, dispatch, transmit — allocates nothing.
+// allocation guard then asserts the sharded steady state — route, ring,
+// dispatch, transmit, and the root thread's rebalance ticks — allocates
+// nothing.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -285,8 +286,9 @@ ShardedResult sharded_throughput(std::size_t shards) {
 // bench_scheduler_perf measures the scheduler: warm up (rings, pools and the
 // per-shard engines reach steady occupancy), arm the guard, push a burst of
 // direct offers from this thread while 4 dispatchers drain concurrently,
-// disarm. Routing, id remap, ring hand-off, dispatch and transmit must not
-// touch the allocator.
+// disarm. Routing, ring hand-off, dispatch, transmit and the root thread's
+// rebalance step (it ticks every 2 ms throughout) must not touch the
+// allocator.
 uint64_t sharded_steady_allocs(std::size_t shards, std::size_t packets) {
   std::unique_ptr<rt::ShardedEngine> engine =
       make_sharded(shards, /*producers=*/1);

@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
   sopts.engine.fault_plan = args.fault_plan;
   sopts.stats_interval = args.stats_interval;
   sopts.stats_port = args.stats_port;
-  sopts.failover.enabled = args.failover;
+  sopts.failover = args.failover;
   for (const Args::KillFault& k : args.fault_kills) {
     rt::RtFaultPlan kp;
     kp.kills.push_back({k.at});
@@ -527,7 +527,7 @@ int main(int argc, char** argv) {
               st.transmitted / elapsed, st.tx_bits / elapsed, elapsed,
               1e3 * st.max_service_lag, engine->overload_state());
 
-  // The root stats thread owns this gauge while running; restate it here so
+  // The root thread owns this gauge while running; restate it here so
   // a --metrics dump without --stats-interval still carries the worst-of
   // state.
   telemetry.set_gauge(obs::telemetry::GaugeId::kOverloadWorst,

@@ -70,9 +70,13 @@ echo "fault gate OK: $(grep 'drops by cause:' "$out/faulty.txt" | head -1)"
 # (determinism, invariants, Theorem-1/2 oracles) plus live-engine
 # capture->replay seeds, including fault-injected rt seeds (dispatcher
 # pauses + clock jumps/skews + overload burst; the engine must self-heal
-# and keep the ledger conserved — docs/ROBUSTNESS.md). A failure writes the
-# minimized repro .conf to $out and names the seed to replay.
-"$BUILD/examples/sfq_chaos" run --seeds 64 --rt 8 --rt-faults 8 --out "$out"
+# and keep the ledger conserved — docs/ROBUSTNESS.md) and shard-kill seeds
+# (a seeded mid-load kill under failover: fence, rehome, cold restart and
+# rehome back through the sharded root thread, with the migration ledger
+# exact). A failure writes the minimized repro .conf to $out and names the
+# seed to replay.
+"$BUILD/examples/sfq_chaos" run --seeds 64 --rt 8 --rt-faults 8 --rt-kill 4 \
+  --out "$out"
 echo "chaos gate OK"
 
 if [[ "${PERF:-0}" == "1" ]]; then

@@ -22,14 +22,15 @@ ctest --test-dir "$BUILD" -j"$(nproc)" --output-on-failure \
 # at moderate overload on one shard, traced and invariant-checked (SyncSink
 # path: the sinks hang off shard 0's dispatcher), then a second unpaced
 # blast run (offer_wait/backpressure path), then a stats run that races the
-# stats thread (console + HTTP exposition) against the dispatcher and
-# producers, then a 4-shard run that races 4 dispatchers, the root stats
-# thread and the rebalance thread against the producers (cross-shard
-# routing + per-shard ledgers under TSAN), and a shard-failover run that
-# races the supervisor thread (fence, harvest, rehome, cold restart, rehome
-# back) against dispatchers, stats, rebalance and producers while shard 1 is
-# killed mid-run, and finally an SFQ-W run driving the timestamp-wheel ready
-# core (+ flow GC reclaim paths) under the same multi-producer ingress races.
+# root thread's stats step (console + HTTP exposition) against the
+# dispatcher and producers, then a 4-shard run that races 4 dispatchers and
+# the root thread (rebalance + stats steps) against the producers
+# (cross-shard routing + per-shard ledgers under TSAN), and a shard-failover
+# run whose one root thread supervises (fence, harvest, rehome, cold
+# restart, rehome back), rebalances and publishes against dispatchers and
+# producers while shard 1 is killed mid-run, and finally an SFQ-W run
+# driving the timestamp-wheel ready core (+ flow GC reclaim paths) under the
+# same multi-producer ingress races.
 "$BUILD/examples/sfq_serve" --producers 4 --flows 4 --duration 0.3 \
   --rate 20e6 --load 1.5 --buffer 128 --policy pushout \
   --check --trace "$BUILD/tsan_trace.jsonl" > /dev/null

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <random>
+#include <ranges>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -122,6 +124,108 @@ CheckResult replay_transcript(Scheduler& replay,
         replay.rejoin_flow(op.packet.flow, op.t);
         break;
     }
+  }
+  return res;
+}
+
+struct Offer {
+  FlowId flow;
+  uint64_t seq;
+  double bits;
+};
+
+// The offered traffic of both rt checks: a deterministic per-seed packet
+// schedule (spec flow i offers under ids[i]), blasted through the ring as
+// fast as it accepts, and a link scaled so draining it takes ~25 ms of wall
+// clock. Pacing does not matter — the comparison is against the op
+// sequence the dispatcher actually performed, whatever interleaving the
+// threads produced this run — and the replay equivalence is
+// rate-independent.
+struct OfferPlan {
+  std::vector<Offer> offers;
+  double rate = 0.0;
+};
+
+OfferPlan plan_offers(const config::ExperimentSpec& spec, uint64_t seed,
+                      std::size_t packets, const std::vector<FlowId>& ids) {
+  std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+  // A view, not a copied vector: GCC 12's LTO pass flags a false
+  // -Wfree-nonheap-object in discrete_distribution's setup otherwise.
+  const auto weights =
+      spec.flows | std::views::transform(&config::FlowSpec::weight);
+  std::discrete_distribution<std::size_t> which(weights.begin(),
+                                                weights.end());
+  std::vector<uint64_t> next_seq(spec.flows.size(), 1);
+  OfferPlan plan;
+  plan.offers.reserve(packets);
+  double total_bits = 0.0;
+  for (std::size_t i = 0; i < packets; ++i) {
+    const std::size_t fi = which(rng);
+    const double bits = spec.flows[fi].packet;
+    plan.offers.push_back(Offer{ids[fi], next_seq[fi]++, bits});
+    total_bits += bits;
+  }
+  plan.rate = std::max(spec.link_rate(), total_bits / 0.025);
+  return plan;
+}
+
+// Offers every packet from producer 0 until the target refuses one (it
+// stalled or stopped); returns the number of offer_wait calls made.
+uint64_t offer_all(rt::IngressTarget& target,
+                   const std::vector<Offer>& offers) {
+  uint64_t calls = 0;
+  for (const Offer& o : offers) {
+    Packet p;
+    p.flow = o.flow;
+    p.seq = o.seq;
+    p.length_bits = o.bits;
+    ++calls;
+    if (!target.offer_wait(0, p)) break;
+  }
+  return calls;
+}
+
+// Engine options of both rt checks (a sharded run applies them to every
+// shard). Fault-injected mode adds a seed-derived rt fault plan sized to
+// the ~25 ms drain window, a hair-trigger watchdog with an effectively
+// unlimited restart budget (recovery must keep working, never brick), and
+// the overload admission gate armed so the blast doubles as an overload
+// burst against weighted-fair shedding.
+rt::EngineOptions rt_engine_options(const config::ExperimentSpec& spec,
+                                    uint64_t seed, bool inject_faults) {
+  rt::EngineOptions eo;
+  eo.producers = 1;
+  eo.buffer_limit = spec.hops.front().buffer_packets;
+  eo.overload_policy = spec.hops.front().pushout
+                           ? net::OverloadPolicy::kPushout
+                           : net::OverloadPolicy::kTailDrop;
+  eo.stall_timeout = 5.0;  // a wedged dispatcher fails, not hangs
+  if (inject_faults) {
+    const Time horizon = 0.05;
+    eo.fault_plan = generate_rt_faults(seed, horizon);
+    eo.stall_timeout = 0.02;
+    eo.restart_budget = 1000;
+    eo.admission_control = true;
+    if (eo.buffer_limit == 0) eo.buffer_limit = 32;
+  }
+  return eo;
+}
+
+// The verdicts after a drain stop: the watchdog must not have stalled the
+// engine for good, and under injected faults (self-healing contract) every
+// stall the faults provoked must have healed — service resumed (a recovery
+// was counted) and the offered load still drained.
+CheckResult check_healed(bool stalled, const rt::EngineStats& es,
+                         bool inject_faults) {
+  CheckResult res;
+  if (stalled) {
+    res.fail("rt-stall", "stall watchdog tripped while draining the load");
+  } else if (inject_faults && es.stalls > 0 && es.recoveries == 0) {
+    res.fail("rt-stall", "injected faults caused " +
+                             std::to_string(es.stalls) +
+                             " stall(s) but no recovery was recorded");
+  } else if (inject_faults && es.transmitted == 0) {
+    res.fail("rt-stall", "no packet transmitted under the injected faults");
   }
   return res;
 }
@@ -292,53 +396,17 @@ namespace {
 CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
                              const RtCheckOptions& rt_opts) {
   namespace tel = obs::telemetry;
-  const std::size_t packets = rt_opts.packets;
   const std::size_t shards = rt_opts.shards;
   CheckResult res;
   const SchedulerOptions base_opts = scheduler_options_for(spec);
 
-  // Same deterministic per-seed offer schedule as the single-engine path;
+  // Same offer schedule and engine options as the single-engine path;
   // global flow ids are the spec order (the sharded engine owns
-  // registration and remaps to shard-local ids internally).
-  struct Offer {
-    FlowId flow;
-    uint64_t seq;
-    double bits;
-  };
-  std::vector<Offer> offers;
-  {
-    std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    std::vector<uint64_t> next_seq(spec.flows.size(), 1);
-    std::vector<double> weights;
-    for (const config::FlowSpec& f : spec.flows) weights.push_back(f.weight);
-    std::discrete_distribution<std::size_t> which(weights.begin(),
-                                                  weights.end());
-    offers.reserve(packets);
-    for (std::size_t i = 0; i < packets; ++i) {
-      const std::size_t fi = which(rng);
-      offers.push_back(
-          Offer{static_cast<FlowId>(fi), next_seq[fi]++, spec.flows[fi].packet});
-    }
-  }
-  double total_bits = 0.0;
-  for (const Offer& o : offers) total_bits += o.bits;
-  const double rate = std::max(spec.link_rate(), total_bits / 0.025);
-
-  rt::EngineOptions eng_opts;
-  eng_opts.producers = 1;
-  eng_opts.buffer_limit = spec.hops.front().buffer_packets;
-  eng_opts.overload_policy = spec.hops.front().pushout
-                                 ? net::OverloadPolicy::kPushout
-                                 : net::OverloadPolicy::kTailDrop;
-  eng_opts.stall_timeout = 5.0;
-  if (rt_opts.inject_faults) {
-    const Time horizon = 0.05;
-    eng_opts.fault_plan = generate_rt_faults(seed, horizon);
-    eng_opts.stall_timeout = 0.02;
-    eng_opts.restart_budget = 1000;
-    eng_opts.admission_control = true;
-    if (eng_opts.buffer_limit == 0) eng_opts.buffer_limit = 32;
-  }
+  // registration).
+  std::vector<FlowId> ids(spec.flows.size());
+  std::iota(ids.begin(), ids.end(), FlowId{0});
+  const OfferPlan plan = plan_offers(spec, seed, rt_opts.packets, ids);
+  const double rate = plan.rate;
 
   std::vector<rt::ShardFlow> flows;
   flows.reserve(spec.flows.size());
@@ -347,7 +415,7 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
   rt::ShardedEngineOptions sopts;
   sopts.shards = shards;
   sopts.link_rate = rate;
-  sopts.engine = eng_opts;
+  sopts.engine = rt_engine_options(spec, seed, rt_opts.inject_faults);
   const bool kill_mode = rt_opts.kill_shard && shards > 1;
   std::size_t kill_victim = 0;
   if (kill_mode) {
@@ -356,9 +424,7 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
     const ShardKillScenario kill = generate_shard_kill(seed, 0.02, shards);
     kill_victim = kill.shard;
     sopts.shard_faults.push_back({kill.shard, kill.plan});
-    sopts.failover.enabled = true;
-    sopts.failover.poll_interval = 0.0005;
-    sopts.failover.restart_backoff = 0.002;
+    sopts.failover = true;
   }
   auto factory = [&](std::size_t, double share) {
     SchedulerOptions so = base_opts;
@@ -379,15 +445,7 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
   tel::Telemetry tele(topts);
   engine->set_telemetry(&tele);
   engine->start();
-  uint64_t offer_calls = 0;
-  for (const Offer& o : offers) {
-    Packet p;
-    p.flow = o.flow;
-    p.seq = o.seq;
-    p.length_bits = o.bits;
-    ++offer_calls;
-    if (!engine->offer_wait(0, p)) break;
-  }
+  const uint64_t offer_calls = offer_all(*engine, plan.offers);
 
   // A kill run must give the supervisor room to finish the whole epoch
   // before the drain stop settles everything: kill fires on the victim's
@@ -442,23 +500,10 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
     }
   }
   engine->stop(rt::StopMode::kDrain);
-  if (engine->stalled()) {
-    res.fail("rt-stall", "stall watchdog tripped while draining the load");
-    return res;
-  }
-  if (rt_opts.inject_faults) {
-    const rt::EngineStats es = engine->stats();
-    if (es.stalls > 0 && es.recoveries == 0) {
-      res.fail("rt-stall", "injected faults caused " +
-                               std::to_string(es.stalls) +
-                               " stall(s) but no recovery was recorded");
-      return res;
-    }
-    if (es.transmitted == 0) {
-      res.fail("rt-stall", "no packet transmitted under the injected faults");
-      return res;
-    }
-  }
+  if (CheckResult r = check_healed(engine->stalled(), engine->stats(),
+                                   rt_opts.inject_faults);
+      !r.ok)
+    return r;
   if (kill_mode) {
     const rt::EngineStats es = engine->stats();
     if (engine->shard_failovers() == 0) {
@@ -616,7 +661,6 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
 
 CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
                      const RtCheckOptions& rt_opts) {
-  const std::size_t packets = rt_opts.packets;
   CheckResult res;
   if (spec.hops.size() != 1 || spec.has_faults()) {
     res.fail("error", "check_rt needs a single-hop fault-free spec");
@@ -637,94 +681,22 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
     return res;
   }
 
-  // Offered traffic: a deterministic per-seed packet schedule, blasted
-  // through the ring as fast as it accepts. Pacing does not matter — the
-  // comparison is against the op sequence the dispatcher actually performed,
-  // whatever interleaving the threads produced this run.
-  struct Offer {
-    FlowId flow;
-    uint64_t seq;
-    double bits;
-  };
-  std::vector<Offer> offers;
-  {
-    std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    std::vector<uint64_t> next_seq(spec.flows.size(), 1);
-    std::vector<double> weights;
-    for (const config::FlowSpec& f : spec.flows) weights.push_back(f.weight);
-    std::discrete_distribution<std::size_t> which(weights.begin(),
-                                                  weights.end());
-    offers.reserve(packets);
-    for (std::size_t i = 0; i < packets; ++i) {
-      const std::size_t fi = which(rng);
-      offers.push_back(Offer{live.flow_ids[fi], next_seq[fi]++,
-                             spec.flows[fi].packet});
-    }
-  }
-
-  // Scale the link so draining the whole offered load takes ~25ms of wall
-  // clock; the replay equivalence is rate-independent.
-  double total_bits = 0.0;
-  for (const Offer& o : offers) total_bits += o.bits;
-  const double rate = std::max(spec.link_rate(), total_bits / 0.025);
-
-  rt::EngineOptions eng_opts;
-  eng_opts.producers = 1;
-  eng_opts.buffer_limit = spec.hops.front().buffer_packets;
-  eng_opts.overload_policy = spec.hops.front().pushout
-                                 ? net::OverloadPolicy::kPushout
-                                 : net::OverloadPolicy::kTailDrop;
-  eng_opts.stall_timeout = 5.0;  // a wedged dispatcher fails, not hangs
-  if (rt_opts.inject_faults) {
-    // Fault-injected mode: a seed-derived rt fault plan sized to the ~25 ms
-    // drain window, a hair-trigger watchdog with an effectively unlimited
-    // restart budget (recovery must keep working, never brick), and the
-    // overload admission gate armed so the blast doubles as an overload
-    // burst against weighted-fair shedding.
-    const Time horizon = 0.05;
-    eng_opts.fault_plan = generate_rt_faults(seed, horizon);
-    eng_opts.stall_timeout = 0.02;
-    eng_opts.restart_budget = 1000;
-    eng_opts.admission_control = true;
-    if (eng_opts.buffer_limit == 0) eng_opts.buffer_limit = 32;
-  }
-  rt::RtEngine engine(*live.scheduler, std::make_unique<net::ConstantRate>(rate),
-                      eng_opts);
+  const OfferPlan plan =
+      plan_offers(spec, seed, rt_opts.packets, live.flow_ids);
+  rt::RtEngine engine(
+      *live.scheduler, std::make_unique<net::ConstantRate>(plan.rate),
+      rt_engine_options(spec, seed, rt_opts.inject_faults));
   std::vector<rt::CaptureOp> ops;
   engine.set_capture(&ops);
   obs::telemetry::Telemetry tele;
   engine.set_telemetry(&tele);
   engine.start();
-  uint64_t offer_calls = 0;
-  for (const Offer& o : offers) {
-    Packet p;
-    p.flow = o.flow;
-    p.seq = o.seq;
-    p.length_bits = o.bits;
-    ++offer_calls;
-    if (!engine.offer_wait(0, p)) break;  // engine stalled/stopped
-  }
+  const uint64_t offer_calls = offer_all(engine, plan.offers);
   engine.stop(rt::StopMode::kDrain);
-  if (engine.stalled()) {
-    res.fail("rt-stall", "stall watchdog tripped while draining the load");
-    return res;
-  }
-  if (rt_opts.inject_faults) {
-    // Self-healing contract: every stall the injected faults provoked must
-    // have healed — service resumed (a recovery was counted) and the full
-    // offered load still drained to completion.
-    const rt::EngineStats es = engine.stats();
-    if (es.stalls > 0 && es.recoveries == 0) {
-      res.fail("rt-stall", "injected faults caused " +
-                               std::to_string(es.stalls) +
-                               " stall(s) but no recovery was recorded");
-      return res;
-    }
-    if (es.transmitted == 0) {
-      res.fail("rt-stall", "no packet transmitted under the injected faults");
-      return res;
-    }
-  }
+  if (CheckResult r = check_healed(engine.stalled(), engine.stats(),
+                                   rt_opts.inject_faults);
+      !r.ok)
+    return r;
 
   // Ledger conservation, read through the telemetry plane: every
   // offer_wait call the harness made is pushed or an ingress drop, and every

@@ -46,7 +46,7 @@ inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(CounterId::kCount);
 
 // Instantaneous values, written by whichever thread owns the stage (the
-// dispatcher at exit, the ShardedEngine stats thread periodically).
+// dispatcher at exit, the ShardedEngine root thread periodically).
 enum class GaugeId : uint16_t {
   kBacklogPackets = 0,  // accepted - transmitted - post-enqueue drops
   kServiceLagMax,       // worst pacing lateness so far (s)
@@ -57,7 +57,7 @@ enum class GaugeId : uint16_t {
   kOverloadState,       // overload state machine: 0 Normal, 1 Shedding,
                         // 2 Critical (docs/ROBUSTNESS.md)
   // Sharded-engine root aggregation (docs/REALTIME.md sharding section).
-  // Written at shard 0 by the ShardedEngine stats thread; the per-shard
+  // Written at shard 0 by the ShardedEngine root thread; the per-shard
   // variants above carry the shard label of the dispatcher they describe.
   kRootFairnessGap,     // worst cross-shard normalized-service gap (s)
   kRootFairnessGapMax,  // worst root gap seen this run (s)

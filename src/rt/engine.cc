@@ -105,10 +105,11 @@ struct RtEngine::ControlOp {
 };
 
 RtEngine::RtEngine(Scheduler& sched, std::unique_ptr<net::RateProfile> profile,
-                   EngineOptions opts)
+                   EngineOptions opts, WallClock base)
     : sched_(sched),
       profile_(std::move(profile)),
       opts_(validated(std::move(opts))),
+      clock_(base),
       ingress_(opts_.producers, opts_.ring_capacity),
       disp_cells_(std::make_shared<tel::CounterCells>(opts_.telemetry_shard)) {
   if (!profile_) throw std::invalid_argument("RtEngine: null rate profile");
@@ -929,7 +930,7 @@ std::vector<double> RtEngine::service_snapshot() const {
 void RtEngine::publish_final_gauges() {
   // Runs on the dispatcher as its last act, so post-run snapshots (chaos
   // conservation checks, the end-of-run /metrics.json) see the settled
-  // backlog whether or not a stats thread is publishing.
+  // backlog whether or not a stats publisher is running.
   const std::size_t shard = opts_.telemetry_shard;
   const EngineStats es = stats();
   tele_->set_gauge(tel::GaugeId::kBacklogPackets,

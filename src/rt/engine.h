@@ -188,9 +188,11 @@ class RtEngine : public IngressTarget {
   // Flows must be registered on `sched` before start(); the flow table must
   // not change while the engine runs. Throws std::invalid_argument on
   // malformed options (rt::validate); servers assembling options from
-  // untrusted input use try_create for the no-throw path.
+  // untrusted input use try_create for the no-throw path. `base` is the
+  // wall clock the engine's time axis reads (t = 0 at its construction by
+  // default); a ShardedEngine hands every shard and epoch the same one.
   RtEngine(Scheduler& sched, std::unique_ptr<net::RateProfile> profile,
-           EngineOptions opts = {});
+           EngineOptions opts = {}, WallClock base = WallClock{});
   // No-throw factory mirroring config::try_parse: nullptr + a message in
   // *error (when non-null) instead of an exception. The profile is consumed
   // only on success.

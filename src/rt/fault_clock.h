@@ -65,7 +65,10 @@ struct RtFaultPlan {
 
 class FaultClock {
  public:
-  FaultClock() = default;
+  // `base` fixes the raw axis's origin; engines that must share one time
+  // axis (the shards and restart epochs of a ShardedEngine) pass the same
+  // WallClock.
+  explicit FaultClock(WallClock base = WallClock{}) : base_(base) {}
 
   // Installs the plan. Sorts pauses by trigger time; jumps/skews are summed
   // so order does not matter. Call before the dispatcher starts.

@@ -1,8 +1,7 @@
 #include "rt/shard/shard_supervisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <limits>
 
 #include "obs/telemetry/telemetry.h"
 #include "rt/shard/sharded_engine.h"
@@ -17,64 +16,47 @@ namespace {
 // scheduler); once spent, a dead shard's flows stay rehomed on survivors.
 constexpr uint32_t kShardRestartBudget = 1;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+// Wait between fencing a shard and its cold restart (seconds): gives
+// whatever killed it (a scripted fault, a scheduling storm) room to pass
+// before the new epoch starts.
+constexpr double kRestartBackoff = 0.01;
+
+constexpr Time kNever = std::numeric_limits<Time>::infinity();
+
 }  // namespace
 
-ShardSupervisor::ShardSupervisor(ShardedEngine& owner, FailoverOptions opts)
-    : owner_(owner), opts_(opts) {}
-
-std::size_t ShardSupervisor::max_epochs() { return 1 + kShardRestartBudget; }
-
-ShardSupervisor::~ShardSupervisor() { stop(); }
-
-void ShardSupervisor::start() {
+ShardSupervisor::ShardSupervisor(ShardedEngine& owner)
+    : owner_(owner),
+      alive_(owner.shards(), 1),
+      restarts_used_(owner.shards(), 0),
+      stalled_since_(owner.shards(), kNever),
+      restart_due_(owner.shards(), kNever) {
   const std::size_t n = owner_.shards();
-  alive_.assign(n, 1);
-  restarts_used_.assign(n, 0);
-  residents_.resize(n);
+  residents_.reserve(n);
   for (std::size_t k = 0; k < n; ++k)
-    residents_[k] = owner_.shards_[k]->global_ids;
+    residents_.push_back(owner_.shards_[k]->global_ids);
   if (owner_.tele_) {
     writers_.reserve(n);
     for (std::size_t k = 0; k < n; ++k)
       writers_.push_back(owner_.tele_->writer(k));
   }
-  stop_ = false;
-  started_ = true;
-  thread_ = std::thread([this] { loop(); });
 }
 
-void ShardSupervisor::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  started_ = false;
-}
+std::size_t ShardSupervisor::max_epochs() { return 1 + kShardRestartBudget; }
 
-bool ShardSupervisor::stop_requested() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stop_;
-}
-
-void ShardSupervisor::loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::duration<double>(opts_.poll_interval),
-                 [this] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
-    for (std::size_t k = 0; k < owner_.shards(); ++k) {
-      if (alive_[k] && owner_.live(k).stalled()) handle_death(k);
-      if (wedged_.load(std::memory_order_acquire)) break;
+void ShardSupervisor::poll(Time now) {
+  for (std::size_t k = 0; k < owner_.shards(); ++k) {
+    if (wedged()) return;
+    if (!alive_[k]) {
+      if (now >= restart_due_[k]) restart(k);
+      continue;
     }
-    lock.lock();
+    const RtEngine& eng = owner_.live(k);
+    if (!eng.stalled()) continue;
+    if (stalled_since_[k] == kNever) stalled_since_[k] = now;
+    // FENCE once the dispatcher has executed permanent_stop AND exited, so
+    // harvest_flows sees a quiesced engine; until then, a later tick.
+    if (eng.dispatcher_done()) fence(k);
   }
 }
 
@@ -85,18 +67,8 @@ void ShardSupervisor::publish_shard_gauges() {
                             alive_[k] ? 0.0 : 1.0, k);
 }
 
-void ShardSupervisor::handle_death(std::size_t k) {
-  // FENCE: the dispatcher already executed permanent_stop (accepting off,
-  // rings drained into the abandoned ledger); wait for the thread itself to
-  // exit so harvest_flows sees a quiesced engine, then join it. Bounded by
-  // a grace period when a stop request arrives mid-fence.
-  const auto t0 = std::chrono::steady_clock::now();
-  RtEngine& dead = owner_.live(k);
-  while (!dead.dispatcher_done()) {
-    if (stop_requested() && seconds_since(t0) > 0.5) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  dead.stop(StopMode::kAbandon);  // joins the exited thread; idempotent
+void ShardSupervisor::fence(std::size_t k) {
+  owner_.live(k).stop(StopMode::kAbandon);  // joins the exited thread
   alive_[k] = 0;
   publish_shard_gauges();
 
@@ -107,11 +79,13 @@ void ShardSupervisor::handle_death(std::size_t k) {
     wedged_.store(true, std::memory_order_release);
     return;
   }
-  const double dt = seconds_since(t0);
+  const Time resident = owner_.wall_.now();
+  const double dt = resident - stalled_since_[k];
+  stalled_since_[k] = kNever;
   ev.latency = dt;
 
   // migration_slack for this epoch (docs/ROBUSTNESS.md): during the
-  // fence->resident blackout of length dt a continuously-backlogged
+  // stalled->resident blackout of length dt a continuously-backlogged
   // survivor pair can diverge by at most dt*R/W_live on the normalized
   // axis (the whole link against the smallest unit of surviving weight),
   // and each moved flow's tag re-anchor costs it at most one of its own
@@ -132,33 +106,39 @@ void ShardSupervisor::handle_death(std::size_t k) {
     writers_[k].inc(tel::CounterId::kFlowsRehomed, ev.flows_moved);
     owner_.tele_->record_seconds(tel::HistId::kMigrationLatency, dt, k);
   }
+  events_.push_back(ev);
 
-  // RESTART: a fresh engine epoch over the same scheduler, under the
-  // shard-level budget, after an interruptible backoff.
+  // RESTART is due after the backoff, under the shard-level budget. If
+  // supervision stops first, the flows stay rehomed on survivors; the
+  // ledger is already closed.
   if (restarts_used_[k] < kShardRestartBudget) {
     ++restarts_used_[k];
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock,
-                   std::chrono::duration<double>(opts_.restart_backoff),
-                   [this] { return stop_; });
-      if (stop_) {
-        events_.push_back(ev);
-        return;  // flows stay rehomed on survivors; ledger already closed
-      }
-    }
-    if (try_restart(k)) {
-      alive_[k] = 1;
-      if (rehome_back(k)) {
-        ev.restarted = true;
-      } else if (wedged_.load(std::memory_order_acquire)) {
-        events_.push_back(ev);
-        return;
-      }
-      publish_shard_gauges();
-    }
+    restart_due_[k] = resident + kRestartBackoff;
   }
-  events_.push_back(ev);
+}
+
+void ShardSupervisor::restart(std::size_t k) {
+  // A fresh engine epoch over the same scheduler, so tag history survives.
+  restart_due_[k] = kNever;
+  ShardedEngine::Shard& s = *owner_.shards_[k];
+  auto eng = owner_.make_engine_epoch(
+      k, s.rate.load(std::memory_order_acquire), /*initial=*/false);
+  RtEngine* raw = eng.get();
+  s.epochs.push_back(std::move(eng));
+  raw->start();
+  s.live.store(raw, std::memory_order_release);
+  s.epoch_count.store(s.epochs.size(), std::memory_order_release);
+  alive_[k] = 1;
+  if (rehome_back(k)) {
+    for (auto it = events_.rbegin(); it != events_.rend(); ++it)
+      if (it->shard == k) {
+        it->restarted = true;
+        break;
+      }
+  } else if (wedged()) {
+    return;
+  }
+  publish_shard_gauges();
 }
 
 bool ShardSupervisor::evacuate(std::size_t k, double& out_reanchor,
@@ -213,7 +193,7 @@ bool ShardSupervisor::evacuate(std::size_t k, double& out_reanchor,
     }
     // Destination is dead too. Pull its share back out of the resident
     // bookkeeping and retry the remap without it; its own death is handled
-    // by a later poll tick.
+    // by a later root tick.
     alive_[d] = 0;
     std::vector<RtEngine::Migration> retry = std::move(per_dest[d]);
     per_dest[d].clear();
@@ -281,18 +261,6 @@ void ShardSupervisor::reweight() {
           ->store(rate, std::memory_order_relaxed);
     }
   }
-}
-
-bool ShardSupervisor::try_restart(std::size_t k) {
-  ShardedEngine::Shard& s = *owner_.shards_[k];
-  auto eng = owner_.make_engine_epoch(
-      k, s.rate.load(std::memory_order_acquire), /*initial=*/false);
-  RtEngine* raw = eng.get();
-  s.epochs.push_back(std::move(eng));
-  raw->start();
-  s.live.store(raw, std::memory_order_release);
-  s.epoch_count.store(s.epochs.size(), std::memory_order_release);
-  return true;
 }
 
 bool ShardSupervisor::rehome_back(std::size_t k) {

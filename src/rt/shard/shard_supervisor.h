@@ -7,7 +7,7 @@
 // fairness perturbation:
 //
 //   1. FENCE    the dead shard (its engine already stopped accepting; the
-//               supervisor waits for the dispatcher thread to exit) and
+//               first root tick after its dispatcher thread exited) and
 //               HARVEST its exact per-flow backlog via
 //               RtEngine::harvest_flows (counted migrated_out).
 //   2. REHOME   its resident flows onto survivors via the router's
@@ -20,8 +20,8 @@
 //               the destination)).
 //   3. RESTART  the dead shard cold — a fresh RtEngine epoch over the SAME
 //               scheduler, so tag history survives — under a separate
-//               shard-level restart budget, and rehome the flows back on
-//               success.
+//               shard-level restart budget, on the first tick after a fixed
+//               backoff, and rehome the flows back on success.
 //
 // Every step keeps the summed conservation identities exact
 // (in == out + backlog + removed + migrated-in-flight; the migrated_in /
@@ -32,16 +32,13 @@
 //   migration_slack = max over epochs of
 //       [ delta * R / W_live  +  max_{f moved} l_f^max / w_f ]
 //
-// where delta is the fence->resident migration latency, R the link rate and
-// W_live the surviving weight (derivation in docs/ROBUSTNESS.md; asserted
-// live by sfq_serve --failover and scripts/soak.sh --kill-shard).
+// where delta is the stalled->resident migration latency, R the link rate
+// and W_live the surviving weight (derivation in docs/ROBUSTNESS.md;
+// asserted live by sfq_serve --failover and scripts/soak.sh --kill-shard).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/types.h"
@@ -51,42 +48,33 @@ namespace sfq::rt {
 
 class ShardedEngine;
 
-struct FailoverOptions {
-  // Master switch; off keeps the PR-8 behavior (a dead shard wedges the
-  // run: ShardedEngine::stalled() turns true).
-  bool enabled = false;
-  // Supervisor liveness poll cadence (seconds).
-  double poll_interval = 0.002;
-  // Wait between fencing a shard and attempting its cold restart (seconds);
-  // gives whatever killed it (a scripted fault, a scheduling storm) room to
-  // pass before the new epoch starts.
-  double restart_backoff = 0.01;
-};
-
 // One completed failover epoch, for post-run verdicts and tests.
 struct FailoverEvent {
   std::size_t shard = 0;       // the shard that died
   std::size_t flows_moved = 0;  // flows rehomed away (not counting the return)
   uint64_t packets_moved = 0;   // harvested backlog packets adopted elsewhere
-  double latency = 0.0;         // fence -> flows resident on survivors (s)
+  double latency = 0.0;         // first stalled tick -> flows resident on
+                                // survivors (s)
   double slack = 0.0;           // this epoch's migration_slack term (s)
   bool restarted = false;       // cold restart succeeded, flows rehomed back
 };
 
-// Owned by ShardedEngine (options.failover.enabled); runs one monitor
-// thread. All mutation of routing, root weights and engine epochs happens on
-// this thread — producers and the stats/rebalance threads only read the
-// atomics it publishes.
+// Owned by ShardedEngine (options.failover); a step of the engine's root
+// thread, not a thread of its own. poll() runs once per root tick, so all
+// mutation of routing, root weights and engine epochs happens on that
+// thread, sequenced with the rebalance and stats steps — producers only
+// read the atomics it publishes.
 class ShardSupervisor {
  public:
-  ShardSupervisor(ShardedEngine& owner, FailoverOptions opts);
-  ~ShardSupervisor();
+  explicit ShardSupervisor(ShardedEngine& owner);
 
   ShardSupervisor(const ShardSupervisor&) = delete;
   ShardSupervisor& operator=(const ShardSupervisor&) = delete;
 
-  void start();
-  void stop();  // idempotent; joins the monitor thread
+  // One supervision step at root time `now` (the engine's wall axis): note
+  // newly stalled shards, fence and evacuate those whose dispatcher has
+  // exited, and cold-restart those whose backoff has expired.
+  void poll(Time now);
 
   // Engine epochs one shard can run through: the first, plus the cold
   // restarts its shard-level restart budget allows (one).
@@ -111,33 +99,32 @@ class ShardSupervisor {
   // shard — is what ShardedEngine::stalled() reports under failover.
   bool wedged() const { return wedged_.load(std::memory_order_acquire); }
 
-  // Epoch log; read after stop().
+  // Epoch log, one entry per fence (restarted turns true on a later tick);
+  // read after stop().
   const std::vector<FailoverEvent>& events() const { return events_; }
 
  private:
-  void loop();
-  bool stop_requested();
-  void handle_death(std::size_t k);
+  void fence(std::size_t k);
+  void restart(std::size_t k);
   bool evacuate(std::size_t k, double& out_reanchor, std::size_t& flows_moved,
                 uint64_t& packets_moved);
   void reweight();
-  bool try_restart(std::size_t k);
   bool rehome_back(std::size_t k);
   void publish_shard_gauges();
 
   ShardedEngine& owner_;
-  FailoverOptions opts_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool started_ = false;
 
-  std::vector<char> alive_;                    // monitor-thread state
+  std::vector<char> alive_;                    // root-thread state
   std::vector<uint32_t> restarts_used_;        // per-shard budget cursor
+  // Root time of the first tick that saw the live epoch stalled: the fence
+  // waits for the dispatcher to exit, and the migration latency runs from
+  // here. Root time at which a fenced shard's cold restart is due; the
+  // restart completes the shard's latest event. Both +inf when unset.
+  std::vector<Time> stalled_since_;
+  std::vector<Time> restart_due_;
   std::vector<std::vector<FlowId>> residents_; // current flows per shard
   std::vector<FailoverEvent> events_;
-  // One counter-cell block per shard (single-writer: this thread).
+  // One counter-cell block per shard (single-writer: the root thread).
   std::vector<obs::telemetry::Telemetry::Writer> writers_;
 
   std::atomic<uint64_t> failovers_{0};

@@ -44,8 +44,8 @@ class AtomicRate final : public net::RateProfile {
 
 bool bad(double v) { return !std::isfinite(v); }
 
-// H-SFQ root rebalance cadence (seconds): how often rebalance_loop
-// redistributes the link over busy shards.
+// Root tick (seconds) whenever the root supervises or rebalances: how often
+// a dead shard is noticed and the link redistributed over busy shards.
 constexpr double kRebalanceInterval = 0.002;
 
 }  // namespace
@@ -66,16 +66,6 @@ ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
     if (sf.shard >= opts_.shards)
       throw std::invalid_argument(
           "ShardedEngine: shard fault targets a shard index out of range");
-  if (opts_.failover.enabled) {
-    if (bad(opts_.failover.poll_interval) ||
-        opts_.failover.poll_interval <= 0.0)
-      throw std::invalid_argument(
-          "ShardedEngine: failover poll_interval must be finite and > 0");
-    if (bad(opts_.failover.restart_backoff) ||
-        opts_.failover.restart_backoff < 0.0)
-      throw std::invalid_argument(
-          "ShardedEngine: failover restart_backoff must be finite and >= 0");
-  }
   if (bad(opts_.stats_interval) || opts_.stats_interval < 0.0)
     throw std::invalid_argument(
         "ShardedEngine: stats_interval must be finite and >= 0");
@@ -163,7 +153,7 @@ ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
   // whole run (one slot per allowed cold restart) so a supervisor push_back
   // never reallocates under a concurrent stats()/flow_tx_bits() reader.
   const std::size_t max_epochs =
-      opts_.failover.enabled ? ShardSupervisor::max_epochs() : 1;
+      opts_.failover ? ShardSupervisor::max_epochs() : 1;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Shard& s = *shards_[k];
     s.epochs.reserve(max_epochs);
@@ -174,6 +164,7 @@ ShardedEngine::ShardedEngine(const SchedulerFactory& factory,
     s.epoch_count.store(1, std::memory_order_release);
   }
   last_shard_.resize(std::max<std::size_t>(opts_.engine.producers, 1));
+  rebal_busy_.resize(shards_.size());
 }
 
 std::unique_ptr<RtEngine> ShardedEngine::make_engine_epoch(std::size_t k,
@@ -181,31 +172,29 @@ std::unique_ptr<RtEngine> ShardedEngine::make_engine_epoch(std::size_t k,
                                                            bool initial) {
   EngineOptions eo = opts_.engine;
   eo.telemetry_shard = k;
-  if (initial) {
-    // Merge the shard-targeted fault plans aimed at this shard.
-    for (const auto& sf : opts_.shard_faults) {
-      if (sf.shard != k) continue;
-      auto& fp = eo.fault_plan;
-      fp.jumps.insert(fp.jumps.end(), sf.plan.jumps.begin(),
-                      sf.plan.jumps.end());
-      fp.skews.insert(fp.skews.end(), sf.plan.skews.begin(),
-                      sf.plan.skews.end());
-      fp.pauses.insert(fp.pauses.end(), sf.plan.pauses.begin(),
-                       sf.plan.pauses.end());
-      fp.kills.insert(fp.kills.end(), sf.plan.kills.begin(),
-                      sf.plan.kills.end());
-    }
-  } else {
-    // A cold-restarted epoch starts a fresh time axis (its WallClock epoch
-    // is its construction instant), so the scripted faults that applied to
-    // the original run — including the kill that ended it — do not re-fire.
-    eo.fault_plan = RtFaultPlan{};
+  // Merge the shard-targeted fault plans aimed at this shard.
+  auto& fp = eo.fault_plan;
+  for (const auto& sf : opts_.shard_faults) {
+    if (sf.shard != k) continue;
+    fp.jumps.insert(fp.jumps.end(), sf.plan.jumps.begin(), sf.plan.jumps.end());
+    fp.skews.insert(fp.skews.end(), sf.plan.skews.begin(), sf.plan.skews.end());
+    fp.pauses.insert(fp.pauses.end(), sf.plan.pauses.begin(),
+                     sf.plan.pauses.end());
+    fp.kills.insert(fp.kills.end(), sf.plan.kills.begin(), sf.plan.kills.end());
+  }
+  if (!initial) {
+    // A cold-restarted epoch continues the shard's time axis: it keeps the
+    // clock transform (jumps, skews), so its readings carry on from the
+    // dead epoch's, but not the triggers (pauses, kills) — on the shared
+    // axis they are already due, and none may fire twice.
+    fp.pauses.clear();
+    fp.kills.clear();
   }
   auto profile = std::make_unique<AtomicRate>(rate);
   Shard& s = *shards_[k];
   s.rate_cell.store(&profile->cell(), std::memory_order_release);
-  auto eng =
-      std::make_unique<RtEngine>(*s.sched, std::move(profile), std::move(eo));
+  auto eng = std::make_unique<RtEngine>(*s.sched, std::move(profile),
+                                        std::move(eo), wall_);
   if (tele_) eng->set_telemetry(tele_);
   if (capture_out_) eng->set_capture(&(*capture_out_)[k]);
   return eng;
@@ -224,14 +213,6 @@ std::unique_ptr<ShardedEngine> ShardedEngine::try_create(
 
 ShardedEngine::~ShardedEngine() {
   if (running()) stop(StopMode::kAbandon);
-  if (supervisor_) supervisor_->stop();
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    bg_stop_ = true;
-  }
-  bg_cv_.notify_all();
-  if (rebal_thread_.joinable()) rebal_thread_.join();
-  if (stats_thread_.joinable()) stats_thread_.join();
   if (stats_server_) stats_server_->stop();
 }
 
@@ -301,35 +282,39 @@ void ShardedEngine::start() {
   started_ = true;
   for (auto& sp : shards_) sp->epochs.front()->start();
   running_.store(true, std::memory_order_release);
-  if (opts_.failover.enabled) {
-    supervisor_ = std::make_unique<ShardSupervisor>(*this, opts_.failover);
-    supervisor_->start();
-  }
+  if (opts_.failover) supervisor_ = std::make_unique<ShardSupervisor>(*this);
+  supervising_ = supervisor_ != nullptr;
   if (tele_ && (opts_.stats_interval > 0.0 || opts_.stats_port >= 0)) {
     if (opts_.stats_port >= 0) {
       stats_server_ = std::make_unique<tel::StatsServer>();
       stats_server_->start(static_cast<uint16_t>(opts_.stats_port));
     }
-    bg_stop_ = false;
-    stats_thread_ = std::thread([this] { stats_loop(); });
+    publish_interval_ =
+        opts_.stats_interval > 0.0 ? opts_.stats_interval : 0.5;
+    prev_service_ = service_snapshot();
+    next_publish_ = wall_.now() + publish_interval_;
   }
-  if (shards_.size() > 1)
-    rebal_thread_ = std::thread([this] { rebalance_loop(); });
+  root_tick_ = supervising_ || shards_.size() > 1 ? kRebalanceInterval
+                                                  : publish_interval_;
+  if (root_tick_ > 0.0) root_thread_ = std::thread([this] { root_loop(); });
 }
 
 void ShardedEngine::stop(StopMode mode) {
   std::lock_guard<std::mutex> lock(stop_mu_);
   if (!running_.load(std::memory_order_acquire)) return;
-  // The supervisor settles first: no migration or restart may race the
-  // shard stops below, and a failover in flight is allowed to finish so the
-  // migrated-packet ledger closes (migrated_in == migrated_out).
-  if (supervisor_) supervisor_->stop();
+  // Supervision ends first: no migration or restart may race the shard
+  // stops below, and a failover step in flight finishes (the root holds
+  // root_mu_ through a step) so the migrated-packet ledger closes
+  // (migrated_in == migrated_out).
+  {
+    std::lock_guard<std::mutex> root(root_mu_);
+    supervising_ = false;
+  }
   // Stop every shard engine concurrently: a kDrain stop lets all shards
   // serve out their backlogs in parallel instead of serializing N drains.
   // Retired epochs are stopped too (idempotent; usually already settled by
-  // the supervisor). The rebalance thread keeps running through the drain
-  // (idle shards cede rate to draining ones, which only speeds the drain
-  // up) and is settled before the stats thread's final publication.
+  // the supervisor). The root keeps rebalancing through the drain (idle
+  // shards cede rate to draining ones, which only speeds the drain up).
   std::vector<std::thread> stoppers;
   stoppers.reserve(shards_.size());
   for (auto& sp : shards_)
@@ -338,12 +323,11 @@ void ShardedEngine::stop(StopMode mode) {
     });
   for (std::thread& t : stoppers) t.join();
   {
-    std::lock_guard<std::mutex> block(bg_mu_);
-    bg_stop_ = true;
+    std::lock_guard<std::mutex> root(root_mu_);
+    root_stop_ = true;
   }
-  bg_cv_.notify_all();
-  if (rebal_thread_.joinable()) rebal_thread_.join();
-  if (stats_thread_.joinable()) stats_thread_.join();
+  root_cv_.notify_all();
+  if (root_thread_.joinable()) root_thread_.join();
   running_.store(false, std::memory_order_release);
 }
 
@@ -426,25 +410,31 @@ double ShardedEngine::fairness_bound(FlowId f, FlowId m) const {
   return b;
 }
 
-void ShardedEngine::stats_loop() {
-  const double interval =
-      opts_.stats_interval > 0.0 ? opts_.stats_interval : 0.5;
-  std::vector<double> prev_service = service_snapshot();
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!bg_stop_) {
-    bg_cv_.wait_for(lock, std::chrono::duration<double>(interval),
-                    [this] { return bg_stop_; });
-    lock.unlock();
-    publish_stats(prev_service);
-    lock.lock();
-  }
-  lock.unlock();
-  // Final pass after stop() joined every shard dispatcher, so the published
-  // snapshot matches the settled summed ledger.
-  publish_stats(prev_service);
+void ShardedEngine::root_loop() {
+  std::unique_lock<std::mutex> lock(root_mu_);
+  while (!root_cv_.wait_for(lock, std::chrono::duration<double>(root_tick_),
+                            [this] { return root_stop_; }))
+    root_step(wall_.now());
+  // Every shard has settled: leave static shares behind so a post-stop
+  // drain paces predictably, and publish the snapshot that matches the
+  // settled summed ledger.
+  for (auto& sp : shards_)
+    sp->rate_cell.load(std::memory_order_acquire)
+        ->store(sp->rate.load(std::memory_order_acquire),
+                std::memory_order_relaxed);
+  if (publish_interval_ > 0.0) publish_stats();
 }
 
-void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
+void ShardedEngine::root_step(Time now) {
+  if (supervising_) supervisor_->poll(now);
+  if (shards_.size() > 1) rebalance();
+  if (publish_interval_ > 0.0 && now >= next_publish_) {
+    next_publish_ = now + publish_interval_;
+    publish_stats();
+  }
+}
+
+void ShardedEngine::publish_stats() {
   const std::vector<double> cur = service_snapshot();
 
   // Per-shard Theorem-1 monitor: for every pair of the shard's flows that
@@ -470,11 +460,11 @@ void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
     double bound = 0.0;
     for (std::size_t a = 0; a < ids.size(); ++a) {
       const FlowId f = ids[a];
-      const double df = cur[f] - prev_service[f];
+      const double df = cur[f] - prev_service_[f];
       if (df <= 0.0) continue;
       for (std::size_t b2 = a + 1; b2 < ids.size(); ++b2) {
         const FlowId m = ids[b2];
-        const double dm = cur[m] - prev_service[m];
+        const double dm = cur[m] - prev_service_[m];
         if (dm <= 0.0) continue;
         gap = std::max(gap,
                        std::abs(df / flow_weight_[f] - dm / flow_weight_[m]));
@@ -499,10 +489,10 @@ void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
   double root_gap = 0.0;
   double root_bound = 0.0;
   for (FlowId f = 0; f < cur.size(); ++f) {
-    const double df = cur[f] - prev_service[f];
+    const double df = cur[f] - prev_service_[f];
     if (df <= 0.0) continue;
     for (FlowId m = f + 1; m < cur.size(); ++m) {
-      const double dm = cur[m] - prev_service[m];
+      const double dm = cur[m] - prev_service_[m];
       if (dm <= 0.0) continue;
       const std::size_t kf = shard_of(f);
       const std::size_t km = shard_of(m);
@@ -512,7 +502,7 @@ void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
       root_bound = std::max(root_bound, fairness_bound(f, m) + mig_slack);
     }
   }
-  prev_service = cur;
+  prev_service_ = cur;
   tele_->set_gauge(tel::GaugeId::kRootFairnessGap, root_gap, 0);
   if (root_gap > tele_->gauge(tel::GaugeId::kRootFairnessGapMax, 0))
     tele_->set_gauge(tel::GaugeId::kRootFairnessGapMax, root_gap, 0);
@@ -558,44 +548,26 @@ void ShardedEngine::publish_stats(std::vector<double>& prev_service) {
   }
 }
 
-void ShardedEngine::rebalance_loop() {
+void ShardedEngine::rebalance() {
   // H-SFQ root as a work-conserving rate server: the link splits over BUSY
   // shards in proportion to W_k. When every shard is busy — the window the
   // cross-shard bound covers — this equals the static R*W_k/W split, so the
   // bound's premise sees exactly the analyzed allocation. W_k and the
-  // static shares are atomics because the supervisor re-weights them during
-  // a failover; a rate observed one tick late only shifts pacing.
-  std::vector<char> busy(shards_.size(), 0);
-  std::vector<double> w(shards_.size(), 0.0);  // hoisted: ticks while the
-                                               // allocation guard is armed
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!bg_stop_) {
-    bg_cv_.wait_for(lock, std::chrono::duration<double>(kRebalanceInterval),
-                    [this] { return bg_stop_; });
-    if (bg_stop_) break;
-    lock.unlock();
-    double busy_w = 0.0;
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      w[k] = shards_[k]->weight_sum.load(std::memory_order_acquire);
-      busy[k] = w[k] > 0.0 && live(k).stats().backlog > 0;
-      if (busy[k]) busy_w += w[k];
-    }
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      const double rate =
-          busy[k] && busy_w > 0.0
-              ? opts_.link_rate * w[k] / busy_w
-              : shards_[k]->rate.load(std::memory_order_acquire);
-      shards_[k]->rate_cell.load(std::memory_order_acquire)
-          ->store(rate, std::memory_order_relaxed);
-    }
-    lock.lock();
+  // static shares change only in the supervise step, on this thread; a rate
+  // observed one tick late only shifts pacing.
+  double busy_w = 0.0;
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    rebal_busy_[k] = shard_weight(k) > 0.0 && live(k).stats().backlog > 0;
+    if (rebal_busy_[k]) busy_w += shard_weight(k);
   }
-  // Leave static shares behind so a post-stop drain paces predictably.
-  lock.unlock();
-  for (auto& sp : shards_)
-    sp->rate_cell.load(std::memory_order_acquire)
-        ->store(sp->rate.load(std::memory_order_acquire),
-                std::memory_order_relaxed);
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    const double rate =
+        rebal_busy_[k] && busy_w > 0.0
+            ? opts_.link_rate * shard_weight(k) / busy_w
+            : shards_[k]->rate.load(std::memory_order_acquire);
+    shards_[k]->rate_cell.load(std::memory_order_acquire)
+        ->store(rate, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace sfq::rt

@@ -18,20 +18,18 @@
 //   slack(k) = (l_k^max + sum_{g in k} l_g^max) / W_k
 //
 // (units: bits per unit weight, the axis of stats::sfq_fairness_bound).
-// Same-shard pairs keep the plain Theorem-1 bound. The root stats thread —
-// the only live publisher; the shard engines run none of their own —
-// validates both: per-shard fairness gauges under each shard's telemetry
-// label, root gauges (fairness.root_gap / root_bound) at shard 0.
+// Same-shard pairs keep the plain Theorem-1 bound.
 //
 // Each shard is a complete PR-3/PR-7 engine — its own scheduler, ingress
 // rings, overload machine, and watchdog — so every robustness plane stays
-// lock-free and shard-local; the only cross-shard coupling is the routing
-// table (versioned: immutable except for supervisor failover remaps), the
-// root rebalance thread (more than one shard), which every 2 ms
-// redistributes R over busy shards through per-shard atomic rates, and the
-// shard supervisor
-// (rt/shard/shard_supervisor.h), which fences dead shards, rehomes their
-// flows onto survivors and cold-restarts them as fresh engine epochs.
+// lock-free and shard-local. The H-SFQ root is one thread whose step
+// (root_step) supervises (failover on: rt/shard/shard_supervisor.h fences
+// dead shards, rehomes their flows and cold-restarts them), then
+// rebalances R over busy shards (more than one shard), then publishes the
+// live stats when due — the only publisher: per-shard fairness gauges
+// under each shard's label, root gauges (fairness.root_gap / root_bound) at
+// shard 0. Beyond the root, the only cross-shard coupling is the versioned
+// routing table. Every shard and engine epoch reads one wall-clock origin.
 //
 // Flow registration is UNIFIED: every flow is registered on every shard's
 // scheduler (shard-local id == global id), with non-resident flows
@@ -62,8 +60,8 @@
 namespace sfq::rt {
 
 // Global flow table entry: ShardedEngine owns flow registration (unlike
-// RtEngine, which takes a pre-registered scheduler) because flows must land
-// on their hash-designated shard's scheduler with remapped local ids.
+// RtEngine, which takes a pre-registered scheduler) because every flow must
+// be registered on every shard and left active only on its home shard.
 struct ShardFlow {
   double weight = 1.0;
   double max_packet_bits = 0.0;  // l_f^max, drives the fairness bounds
@@ -81,7 +79,7 @@ struct ShardedEngineOptions {
   // label k.
   EngineOptions engine;
   // Live stats publication (requires set_telemetry; docs/OBSERVABILITY.md).
-  // A root stats thread wakes every `stats_interval` seconds (finite, >= 0),
+  // The root thread publishes every `stats_interval` seconds (finite, >= 0),
   // updates the per-shard backlog / pacing-lag / stall / Theorem-1 fairness
   // gauges and the root gauges, snapshots the plane, publishes the
   // Prometheus + JSON renderings and prints one root console line plus one
@@ -101,10 +99,10 @@ struct ShardedEngineOptions {
     RtFaultPlan plan;
   };
   std::vector<ShardFault> shard_faults;
-  // Shard failover (rt/shard/shard_supervisor.h): when enabled, a dead
-  // shard is fenced, its flows rehomed onto survivors and a cold restart
-  // attempted, instead of wedging the run.
-  FailoverOptions failover;
+  // Shard failover (rt/shard/shard_supervisor.h): when on, a dead shard is
+  // fenced, its flows rehomed onto survivors and a cold restart attempted,
+  // instead of wedging the run (off: ShardedEngine::stalled() turns true).
+  bool failover = false;
 };
 
 class ShardedEngine : public IngressTarget {
@@ -133,13 +131,13 @@ class ShardedEngine : public IngressTarget {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  // Producer API (rt/ingress_target.h): routes by the packet's GLOBAL flow
-  // id to its home shard and offers the remapped (local-id) packet to that
-  // shard's ring for slot i. Unknown global ids route by hash unmapped and
-  // land as kUnknownFlow drops on the target shard, keeping the seven-cause
-  // ledger exact. note_* hooks resolve against the shard producer i's most
-  // recent attempt routed to (per-producer slot state; slots are
-  // single-threaded by contract).
+  // Producer API (rt/ingress_target.h): routes by the packet's flow id to
+  // its current shard and offers the packet unchanged (shard-local ids are
+  // global ids) to that shard's ring for slot i. Unknown ids route by hash
+  // and land as kUnknownFlow drops on the target shard, keeping the
+  // seven-cause ledger exact. note_* hooks resolve against the shard
+  // producer i's most recent attempt routed to (per-producer slot state;
+  // slots are single-threaded by contract).
   bool offer(std::size_t i, Packet p) override;
   bool offer_wait(std::size_t i, Packet p) override;
   OfferStatus try_offer(std::size_t i, const Packet& p) override;
@@ -154,9 +152,11 @@ class ShardedEngine : public IngressTarget {
   // sequence. Attach before start(); read only after stop() returned.
   void set_capture(std::vector<std::vector<CaptureOp>>* out);
 
-  // One run per engine. stop() stops every shard concurrently (kDrain lets
-  // each shard serve out its backlog in parallel), then settles the root
-  // stats thread so its final publication matches the summed ledger.
+  // One run per engine. stop() first ends supervision (a failover step in
+  // flight finishes), then stops every shard concurrently (kDrain lets each
+  // shard serve out its backlog in parallel) while the root keeps
+  // rebalancing, then settles the root thread: its final publication
+  // matches the summed ledger and the rate cells return to static shares.
   void start();
   void stop(StopMode mode = StopMode::kDrain);
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -171,6 +171,7 @@ class ShardedEngine : public IngressTarget {
   bool shard_stalled(std::size_t k) const;
   int overload_state() const;  // max (worst) across shards
 
+  // Shard 0's time axis; every epoch of every shard shares its origin.
   Time now() const override { return live(0).now(); }
   std::size_t producers() const override { return opts_.engine.producers; }
 
@@ -191,8 +192,6 @@ class ShardedEngine : public IngressTarget {
   }
   // Primary (hash) placement, before any failover remap.
   std::size_t home_shard_of(FlowId global) const { return home_of_[global]; }
-  // Unified registration: shard-local ids equal global ids.
-  FlowId local_id(FlowId global) const { return global; }
   std::size_t flow_count() const { return home_of_.size(); }
   // Bumped on every routing remap (failover evacuation or rehome-back).
   uint64_t route_version() const {
@@ -223,9 +222,9 @@ class ShardedEngine : public IngressTarget {
   }
   const ShardSupervisor* supervisor() const { return supervisor_.get(); }
 
-  // Per-flow service in GLOBAL flow-id order (fetched from the home shard
-  // under the local id), so wall-clock fairness checks read one coherent
-  // axis across shards.
+  // Per-flow service in global flow-id order, summed over every shard and
+  // epoch, so wall-clock fairness checks read one coherent axis across
+  // shards.
   double flow_tx_bits(FlowId global) const;
   std::vector<double> service_snapshot() const;
 
@@ -256,7 +255,8 @@ class ShardedEngine : public IngressTarget {
     // Engine epochs over `sched`, oldest first: a cold restart pushes a
     // fresh RtEngine and flips `live`; retired epochs stay alive so their
     // frozen ledgers keep summing and raw pointers held by producers stay
-    // valid. Mutated only by the supervisor thread (or construction);
+    // valid. Mutated only by the root thread's supervise step (or
+    // construction);
     // readers go through `live` / `epoch_count`.
     std::vector<std::unique_ptr<RtEngine>> epochs;
     std::atomic<RtEngine*> live{nullptr};
@@ -280,13 +280,19 @@ class ShardedEngine : public IngressTarget {
     return *shards_[k]->live.load(std::memory_order_acquire);
   }
   // Builds an engine epoch over shard k's scheduler at the given rate.
-  // `initial` epochs take the shard-targeted fault plans; restart epochs get
-  // an empty plan (their fresh WallClock would re-fire the kill otherwise).
+  // Every epoch takes the template's and the shard-targeted clock faults;
+  // only `initial` epochs take their pauses and kills (on the shared clock
+  // axis a restart epoch would re-fire the kill at once otherwise).
   std::unique_ptr<RtEngine> make_engine_epoch(std::size_t k, double rate,
                                               bool initial);
-  void stats_loop();
-  void publish_stats(std::vector<double>& prev_service);
-  void rebalance_loop();
+  // The root thread: root_step every root_tick_ seconds until stop()
+  // settles it, then the static rate shares and the final publication.
+  void root_loop();
+  // One root tick at root time `now`: supervise, rebalance, then publish
+  // if a publication is due. Called with root_mu_ held.
+  void root_step(Time now);
+  void rebalance();
+  void publish_stats();
 
   ShardedEngineOptions opts_;
   ShardRouter router_;
@@ -301,6 +307,7 @@ class ShardedEngine : public IngressTarget {
   double total_weight_ = 0.0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<LastShard> last_shard_;
+  WallClock wall_;  // time origin of every shard, epoch and the root
 
   obs::telemetry::Telemetry* tele_ = nullptr;
   // set_capture target, remembered so a restarted epoch re-attaches to the
@@ -309,19 +316,25 @@ class ShardedEngine : public IngressTarget {
   std::vector<std::vector<CaptureOp>>* capture_out_ = nullptr;
   std::unique_ptr<ShardSupervisor> supervisor_;
 
-  // Root background threads: stats publication and H-SFQ rebalance. Both
-  // share one stop latch; stats_loop does a final pass after the shard
-  // engines settled.
+  // The root thread (root_thread_, declared last) holds root_mu_ while it
+  // runs a step and sleeps on root_cv_ for root_tick_ seconds between
+  // steps; stop() clears supervising_ under the lock (so a failover step in
+  // flight finishes first) and later sets root_stop_.
   std::unique_ptr<obs::telemetry::StatsServer> stats_server_;
-  std::thread stats_thread_;
-  std::thread rebal_thread_;
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  bool bg_stop_ = false;
+  std::mutex root_mu_;
+  std::condition_variable root_cv_;
+  bool root_stop_ = false;
+  bool supervising_ = false;
+  double root_tick_ = 0.0;         // 0: no step to run, no thread
+  double publish_interval_ = 0.0;  // 0: no publication step
+  Time next_publish_ = 0.0;
+  std::vector<double> prev_service_;  // publication window start
+  std::vector<char> rebal_busy_;  // sized once: a tick allocates nothing
 
   bool started_ = false;
   std::mutex stop_mu_;
   std::atomic<bool> running_{false};
+  std::thread root_thread_;
 };
 
 }  // namespace sfq::rt

@@ -199,36 +199,61 @@ TEST(ShardFailover, LedgerExactAcrossMigrationPushout) {
   run_migration_ledger(net::OverloadPolicy::kPushout);
 }
 
-TEST(ShardFailover, KillRehomeRestartRehomeBack) {
-  // End-to-end: a scripted kill fells one of two shards mid-load; the
-  // supervisor must fence it, rehome its flows onto the survivor, restart a
-  // fresh engine epoch over the same scheduler and rehome the flows back —
-  // with the global ledger exact across the whole excursion.
-  constexpr std::size_t kFlows = 6;
-  const std::size_t victim = ShardRouter(2).shard_of(0);
+constexpr std::size_t kFailoverFlows = 6;
 
-  std::vector<ShardFlow> flows(kFlows, ShardFlow{1e6, kBits, ""});
+// Two shards at 2e8 bit/s with a scripted kill of `victim` at raw t = 0.05
+// and failover on. With `tele`, the plane is attached and the root also
+// publishes stats every 10 ms, so one root thread supervises, rebalances
+// and publishes in the same run. `plan` is every shard's fault plan.
+std::unique_ptr<ShardedEngine> make_kill_engine(
+    std::size_t victim, obs::telemetry::Telemetry* tele = nullptr,
+    RtFaultPlan plan = {}) {
+  std::vector<ShardFlow> flows(kFailoverFlows, ShardFlow{1e6, kBits, ""});
   ShardedEngineOptions opts;
   opts.shards = 2;
   opts.link_rate = 2e8;
   opts.engine.producers = 1;
+  opts.engine.fault_plan = std::move(plan);
   RtFaultPlan kill_plan;
   kill_plan.kills.push_back({0.05});
   opts.shard_faults.push_back({victim, kill_plan});
-  opts.failover.enabled = true;
-  opts.failover.poll_interval = 0.0005;
-  opts.failover.restart_backoff = 0.002;
+  opts.failover = true;
+  if (tele) opts.stats_interval = 0.01;
   auto engine = ShardedEngine::try_create(
-      [&](std::size_t, double share) {
+      [](std::size_t, double share) {
         SchedulerOptions so;
-        so.assumed_capacity = opts.link_rate * share;
+        so.assumed_capacity = 2e8 * share;
         return make_scheduler("SFQ", so);
       },
       flows, opts);
+  if (engine && tele) engine->set_telemetry(tele);
+  return engine;
+}
+
+// Offers a burst round-robin over the flows, keeping both shards loaded.
+void offer_burst(ShardedEngine& engine, uint64_t& seq) {
+  for (int burst = 0; burst < 64; ++burst) {
+    engine.offer(0, make_packet(static_cast<FlowId>(seq % kFailoverFlows),
+                                seq));
+    ++seq;
+  }
+}
+
+TEST(ShardFailover, KillRehomeRestartRehomeBack) {
+  // End-to-end: a scripted kill fells one of two shards mid-load; the
+  // supervisor must fence it, rehome its flows onto the survivor, restart a
+  // fresh engine epoch over the same scheduler and rehome the flows back —
+  // with the global ledger exact across the whole excursion. The root
+  // thread publishes stats throughout, so the live gauges must agree.
+  const std::size_t victim = ShardRouter(2).shard_of(0);
+  obs::telemetry::TelemetryOptions topts;
+  topts.shards = 2;
+  obs::telemetry::Telemetry tele(topts);
+  auto engine = make_kill_engine(victim, &tele);
   ASSERT_NE(engine, nullptr);
 
   std::size_t victim_flows = 0;
-  for (FlowId f = 0; f < kFlows; ++f)
+  for (FlowId f = 0; f < kFailoverFlows; ++f)
     if (engine->home_shard_of(f) == victim) ++victim_flows;
   ASSERT_GE(victim_flows, 1u) << "the victim shard must own flows";
 
@@ -236,11 +261,7 @@ TEST(ShardFailover, KillRehomeRestartRehomeBack) {
   uint64_t seq = 0;
   const bool settled = wait_for([&] {
     // Keep both shards loaded while the failover runs its course.
-    for (int burst = 0; burst < 64; ++burst) {
-      Packet p = make_packet(static_cast<FlowId>(seq % kFlows), seq);
-      engine->offer(0, p);
-      ++seq;
-    }
+    offer_burst(*engine, seq);
     const EngineStats es = engine->stats();
     return engine->shard_failovers() >= 1 &&
            engine->engine_epochs(victim) > 1 &&
@@ -261,7 +282,7 @@ TEST(ShardFailover, KillRehomeRestartRehomeBack) {
   EXPECT_EQ(engine->engine_epochs(victim), 2u);
   EXPECT_GE(engine->route_version(), 2u);
   EXPECT_FALSE(engine->stalled()) << "a handled failover is not a wedge";
-  for (FlowId f = 0; f < kFlows; ++f)
+  for (FlowId f = 0; f < kFailoverFlows; ++f)
     EXPECT_EQ(engine->shard_of(f), engine->home_shard_of(f))
         << "flow " << f << " must be home after the restart";
 
@@ -272,6 +293,38 @@ TEST(ShardFailover, KillRehomeRestartRehomeBack) {
   for (std::size_t k = 0; k < 2; ++k)
     expect_migration_ledger(engine->shard_stats(k),
                             "shard " + std::to_string(k));
+
+  // The plane saw the same excursion: the victim is live again and the
+  // one failover is counted once.
+  namespace tel = obs::telemetry;
+  EXPECT_EQ(tele.gauge(tel::GaugeId::kShardStalled, victim), 0.0);
+  EXPECT_EQ(tele.snapshot().counter_total(tel::CounterId::kShardFailovers),
+            1u);
+}
+
+TEST(ShardFailover, ClockStaysMonotoneAcrossShardZeroRestart) {
+  // now() reads shard 0's live epoch. Every epoch shares the engine's clock
+  // origin and keeps the shard's clock faults (here a +0.3 s jump before
+  // the kill), so a cold restart of shard 0 must not send now() back
+  // towards zero or undo the jump (producers pace against it).
+  RtFaultPlan jump;
+  jump.jumps.push_back({0.02, 0.3});
+  auto engine = make_kill_engine(/*victim=*/0, nullptr, jump);
+  ASSERT_NE(engine, nullptr);
+  engine->start();
+  uint64_t seq = 0;
+  Time before = 0.0;
+  const bool restarted = wait_for([&] {
+    offer_burst(*engine, seq);
+    if (engine->engine_epochs(0) > 1) return true;
+    before = std::max(before, engine->now());
+    return false;
+  });
+  ASSERT_TRUE(restarted) << "shard 0 must be killed and cold-restarted";
+  const Time after = engine->now();
+  engine->stop(StopMode::kDrain);
+  EXPECT_GE(before, 0.35) << "the kill fires at raw t = 0.05, after the jump";
+  EXPECT_GE(after, before) << "now() went backwards across the restart";
 }
 
 }  // namespace

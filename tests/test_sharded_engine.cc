@@ -91,14 +91,8 @@ TEST(ShardRouter, StableCoversAndMatchesEngine) {
       ShardedEngine::try_create(sfq_factory(opts.link_rate), flows, opts);
   ASSERT_NE(engine, nullptr);
   ShardRouter router(4);
-  for (FlowId f = 0; f < 8; ++f) {
+  for (FlowId f = 0; f < 8; ++f)
     EXPECT_EQ(engine->shard_of(f), router.shard_of(f));
-    // Unified registration: every flow is registered on every shard under
-    // its global id (non-home copies deactivated), so a failover rehome is
-    // a plain rejoin on the destination — local id IS the global id, the
-    // contract replay tooling and the supervisor both rely on.
-    EXPECT_EQ(engine->local_id(f), f);
-  }
 }
 
 TEST(ShardRouter, PlacementIsPinned) {
@@ -299,23 +293,23 @@ TEST(ShardedEngine, RoutingStableAcrossFlowChurn) {
   for (FlowId f = 0; f < 4; ++f) before[f] = engine->shard_of(f);
 
   // Drive shard 0's scheduler directly (the engine is not running, so the
-  // dispatcher contract is not in play). Flow 2 lives alone on shard 0.
+  // dispatcher contract is not in play). Flow 2 lives alone on shard 0,
+  // registered there under its global id (unified registration).
   const FlowId victim = 2;
   const std::size_t home = engine->shard_of(victim);
-  const FlowId local = engine->local_id(victim);
   Scheduler& sched = engine->scheduler(home);
-  ASSERT_TRUE(sched.enqueue(make_packet(local, 0), 0.0));
+  ASSERT_TRUE(sched.enqueue(make_packet(victim, 0), 0.0));
   const std::optional<Packet> served = sched.dequeue(0.0);
   ASSERT_TRUE(served.has_value());
   const double f_prev = served->finish_tag;
   sched.on_transmit_complete(*served, 0.001);
 
-  sched.remove_flow(local, 0.002);
-  sched.rejoin_flow(local, 0.003);
+  sched.remove_flow(victim, 0.002);
+  sched.rejoin_flow(victim, 0.003);
   for (FlowId f = 0; f < 4; ++f)
     EXPECT_EQ(engine->shard_of(f), before[f]) << "churn moved flow " << f;
 
-  ASSERT_TRUE(sched.enqueue(make_packet(local, 1), 0.003));
+  ASSERT_TRUE(sched.enqueue(make_packet(victim, 1), 0.003));
   const std::optional<Packet> rejoined = sched.dequeue(0.003);
   ASSERT_TRUE(rejoined.has_value());
   EXPECT_GE(rejoined->start_tag, f_prev)
@@ -431,7 +425,7 @@ TEST(ShardedEngine, OneShardMatchesRtEngine) {
 }
 
 TEST(ShardedEngine, RejectsBadStatsOptions) {
-  // The root owns the stats thread and endpoint, so it validates them: a
+  // The root owns the stats step and endpoint, so it validates them: a
   // negative or non-finite stats_interval would busy-spin or hand NaN to
   // the timed wait, and a stats_port outside [-1, 65535] would wrap to
   // another port or silently disable the endpoint.
@@ -479,10 +473,10 @@ TEST(ShardedEngine, RejectsBadStatsOptions) {
 }
 
 TEST(ShardedEngine, StatsThreadPublishesOverHttp) {
-  // The root stats thread is the only live publisher. At 1 and 2 shards, on
-  // an ephemeral port: while traffic flows it writes every shard's
-  // Theorem-1 bound gauge and the root gauges; after a drain stop its final
-  // pass leaves the settled ledger and zero backlogs in the plane.
+  // The root thread's stats step is the only live publisher. At 1 and 2
+  // shards, on an ephemeral port: while traffic flows it writes every
+  // shard's Theorem-1 bound gauge and the root gauges; after a drain stop
+  // its final pass leaves the settled ledger and zero backlogs in the plane.
   namespace tel = obs::telemetry;
   for (const std::size_t shards : {1u, 2u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -533,7 +527,7 @@ TEST(ShardedEngine, StatsThreadPublishesOverHttp) {
               plane.gauge(tel::GaugeId::kRootFairnessGap, 0));
     engine->stop(StopMode::kDrain);
 
-    // stop() joins the stats thread after its final pass; the endpoint
+    // stop() joins the root thread after its final pass; the endpoint
     // stays up until the engine is destroyed.
     const tel::TelemetrySnapshot snap = plane.snapshot();
     EXPECT_EQ(snap.counter_total(tel::CounterId::kTransmitted), offered);
