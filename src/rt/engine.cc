@@ -33,10 +33,9 @@ constexpr int kServiceBatch = 64;
 constexpr int kIdleYields = 16;
 constexpr auto kIdleSleep = std::chrono::microseconds(50);
 
-// Waits shorter than this are spun, longer ones sleep (seconds). Sleeping
-// keeps CPU available for producers on small machines; spinning keeps
-// pacing accurate near a transmission-complete deadline.
-constexpr double kSpinThreshold = 200e-6;
+// Longest nap toward a transmission deadline (seconds): rings are still
+// drained at this interval while a long transmission is in flight.
+constexpr double kMaxNap = 1e-3;
 
 // Overload machine (docs/ROBUSTNESS.md), on scheduler occupancy
 // backlog / buffer_limit with hysteresis: Normal -> Shedding at kShedEnter,
@@ -56,12 +55,13 @@ constexpr double kShedBurst = 4.0;
 constexpr double kShedDefaultPacketBits = 12000.0;
 
 // How far behind the wall clock the pacing chain may start the next packet
-// while the link has been continuously busy. Dispatcher wakeups land a few
-// microseconds past each deadline; pacing from `now` would discard that
-// link time on every packet, a rate deficit proportional to packets/s that
-// systematically starves high-rate shards. Back-dating within this window
-// recovers routine scheduling jitter, while anything longer (a fault pause,
-// a stall, a descheduled core) stays genuinely lost link time.
+// while the link has been continuously busy. The dispatcher sleeps toward
+// each deadline and wakes up to the timer slack (~50 us) past it; pacing
+// from `now` would discard that link time on every wake-up, a rate deficit
+// that systematically starves high-rate shards. Back-dating within this
+// window makes the dispatcher a fluctuation-constrained server whose delta is
+// its wake-up lateness, while anything longer (a fault pause, a stall, a
+// descheduled core) stays genuinely lost link time.
 constexpr Time kPacingCatchup = 1e-3;
 
 // Single-writer counter update: only the dispatcher writes, so a load+store
@@ -447,16 +447,14 @@ void RtEngine::run() {
         idle_streak = 0;
         continue;  // more arrivals may already be waiting
       }
+      // Sleep until the deadline, never spin toward it. The wake-up lands up
+      // to the timer slack late; the next serve batch completes everything
+      // that fell due meanwhile and back-dates each start within
+      // kPacingCatchup, so the lateness costs latency, not link rate.
       const Time wait = link_.deadline - clock_.now();
       if (wait <= 0.0) continue;
-      if (wait > kSpinThreshold) {
-        // Sleep most of the wait, capped so rings are still drained at a
-        // bounded interval while a long transmission is in flight.
-        const double nap = std::min(wait - kSpinThreshold, 1e-3);
-        std::this_thread::sleep_for(std::chrono::duration<double>(nap));
-      } else {
-        std::this_thread::yield();
-      }
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(std::min(wait, kMaxNap)));
     } else if (drained == 0) {
       if (++idle_streak <= kIdleYields)
         std::this_thread::yield();

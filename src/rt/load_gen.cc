@@ -31,21 +31,18 @@ struct TimedPacket {
   Packet p;
 };
 
-// Waits (yield below 1 ms, sleep above) until the shared wall clock reaches
-// `target` or a stop is requested. Coarse is fine: the ingress stamp, not
-// this wait, is the arrival time the engine sees. Long sleeps are chunked so
-// a stop request interrupts within ~10 ms.
+// Sleeps until the shared wall clock reaches `target` or a stop is
+// requested, never spinning toward it. Waking up to the timer slack late is
+// fine: the ingress stamp, not this wait, is the arrival time the engine
+// sees. Naps are capped at 1 ms so a stop request interrupts promptly.
 void wait_until(const IngressTarget& engine, Time target,
                 const std::atomic<bool>& stop) {
   for (;;) {
     if (stop.load(std::memory_order_relaxed)) return;
     const Time gap = target - engine.now();
     if (gap <= 0.0) return;
-    if (gap > 1e-3)
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(std::min(gap - 0.5e-3, 10e-3)));
-    else
-      std::this_thread::yield();
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(std::min(gap, 1e-3)));
   }
 }
 
@@ -199,9 +196,11 @@ void LoadGen::produce(std::size_t i, Time duration) {
       if (st == OfferStatus::kAccepted) {
         ++local.pushed;
       } else if (st == OfferStatus::kClosed) {
+        // A sharded engine refuses offers to a fenced shard while the rest
+        // still accept: only a closed engine ends the timeline.
         engine_.note_offer_abandoned(i);
         ++local.abandoned;
-        engine_closed = true;
+        engine_closed = !engine_.accepting();
       } else {
         // Backpressure: retry until accepted, closed, out of retries, or
         // past the freshness deadline.
@@ -234,8 +233,7 @@ void LoadGen::produce(std::size_t i, Time duration) {
           // an ingress drop.
           engine_.note_offer_abandoned(i);
           ++local.abandoned;
-          if (st == OfferStatus::kClosed || !engine_.accepting())
-            engine_closed = true;
+          engine_closed = !engine_.accepting();
         }
       }
     } else {

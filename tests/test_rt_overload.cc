@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sfq_scheduler.h"
@@ -402,6 +403,61 @@ TEST(RtOverload, BackpressureRetryAndDeadlineKeepTheLedgerExact) {
   EXPECT_EQ(snap.counter_total(tel::CounterId::kOfferAbandoned),
             ps.abandoned);
   EXPECT_EQ(snap.counter_total(tel::CounterId::kIngressPushed), ps.pushed);
+}
+
+// An ingress target that accepts every offer except those its script
+// refuses, while still reporting accepting(): a sharded engine does this
+// to offers for a fenced shard during failover.
+class ScriptedTarget final : public IngressTarget {
+ public:
+  explicit ScriptedTarget(std::vector<std::pair<uint64_t, OfferStatus>> script)
+      : script_(std::move(script)) {}
+  bool offer(std::size_t, Packet) override { return true; }
+  bool offer_wait(std::size_t, Packet) override { return true; }
+  OfferStatus try_offer(std::size_t, const Packet&) override {
+    const uint64_t call = calls_++;
+    for (const auto& [at, st] : script_)
+      if (at == call) return st;
+    return OfferStatus::kAccepted;
+  }
+  void note_offer_retry(std::size_t) override {}
+  void note_offer_abandoned(std::size_t) override {}
+  bool accepting() const override { return true; }
+  Time now() const override {
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+  std::size_t producers() const override { return 1; }
+
+ private:
+  std::vector<std::pair<uint64_t, OfferStatus>> script_;
+  uint64_t calls_ = 0;
+};
+
+// A retry-mode producer gives up an offer refused with kClosed, but keeps
+// offering its timeline while the target still accepts: once on a first
+// attempt, once mid-retry.
+TEST(LoadGen, TransientClosedOfferDoesNotEndTheTimeline) {
+  ScriptedTarget target({{2, OfferStatus::kClosed},
+                         {9, OfferStatus::kBackpressure},
+                         {10, OfferStatus::kClosed}});
+  FlowLoad l;
+  l.flow = 0;
+  l.rate = 8e5;  // 100 packets/s of model time
+  l.packet_bits = kBits;
+  LoadGenOptions lg;
+  lg.paced = false;
+  lg.max_retries = 4;
+  LoadGen gen(target, {{l}}, lg);
+  gen.start(/*duration=*/0.5);  // 50 packets
+  gen.join();
+
+  const LoadGen::ProducerStats ps = gen.producer_stats(0);
+  EXPECT_EQ(ps.attempts, 50u);
+  EXPECT_EQ(ps.abandoned, 2u);
+  EXPECT_EQ(ps.retries, 1u);
+  EXPECT_EQ(ps.attempts, ps.pushed + ps.abandoned);
 }
 
 }  // namespace
